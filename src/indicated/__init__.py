@@ -8,7 +8,7 @@ of several forbidden-subgraph classes, and the constructive selector
 strategies those decompositions support, all cross-verified by play.
 """
 
-from . import cli, detect, game, graphs, reports, strategies, structure  # noqa: F401
+from . import detect, game, graphs, reports, strategies, structure  # noqa: F401
 from .game import ann_wins, chi_exact, chi_i, play_match  # noqa: F401
 from .graphs import Graph, make_named, parse_graph6, write_graph6  # noqa: F401
 

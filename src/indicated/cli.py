@@ -259,6 +259,10 @@ def cmd_verify_class(args):
                              f"unknown class {args.strategy_class!r}; known: "
                              f"{sorted(registry)}"), 2
     try:
+        parse_krange(args.krange)
+    except ValueError as exc:
+        return _error_report("verify_class", str(exc)), 2
+    try:
         lines = _read_corpus(args.corpus)
     except OSError as exc:
         return _error_report("verify_class", str(exc)), 2

@@ -88,10 +88,6 @@ class NotApplicable(GraphGameError):
     """Strategy preconditions (class membership) do not hold."""
 
 
-class StrategyNotApplicable(NotApplicable):
-    """Match harness variant of NotApplicable."""
-
-
 class BoundViolated(GraphGameError):
     """Palette size below the strategy's guaranteed bound."""
 

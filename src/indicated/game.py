@@ -160,12 +160,38 @@ def twin_classes(g):
     return tuple(classes[r] for r in sorted(classes))
 
 
+class _TwinProfiles(dict):
+    """Class mask -> its twin count profile packed into one int: the count
+    of each twin class in a bit field as wide as that class's size needs,
+    so distinct profiles give distinct ints.  Filled on first lookup; at
+    most 2^n entries."""
+
+    def __init__(self, twins):
+        super().__init__()
+        fields = []
+        shift = 0
+        for t in twins:
+            fields.append((t, shift))
+            shift += t.bit_count().bit_length()
+        self._fields = fields
+
+    def __missing__(self, mask):
+        p = 0
+        for t, shift in self._fields:
+            p |= (mask & t).bit_count() << shift
+        self[mask] = p
+        return p
+
+
 class GameSolver:
     """Memoized exact minimax for one (graph, k) pair.
 
     canon: "classes" keys states by the sorted class-mask tuple (color
     symmetry only); "twins" further replaces each mask by its per-twin-class
-    count profile.  Ben's replies collapse fresh colors into one branch in
+    count profile, packed into one int and cached per mask, so the key is
+    the sorted tuple of those ints.  When every twin class is a singleton
+    the profile carries no more than the mask, and twins mode runs exactly
+    as classes mode.  Ben's replies collapse fresh colors into one branch in
     both modes, since unused colors are interchangeable.
     """
 
@@ -181,13 +207,16 @@ class GameSolver:
         self.memo = {}
         self.nodes = 0
         self.memo_hits = 0
-        self._twins = twin_classes(g) if canon == "twins" else None
+        self._twins = None
+        if canon == "twins":
+            tw = twin_classes(g)
+            if any(t.bit_count() > 1 for t in tw):
+                self._twins = _TwinProfiles(tw)
 
     def _key(self, classes):
         if self._twins is None:
             return classes
-        tw = self._twins
-        return tuple(sorted(tuple((c & t).bit_count() for t in tw) for c in classes))
+        return tuple(sorted(map(self._twins.__getitem__, classes)))
 
     def value(self, classes=()):
         """True iff the selector wins with optimal play from this
@@ -459,9 +488,10 @@ def play_match(g, k, ann, ben="optimal", *, canon="twins",
                solve_limit=DEFAULT_SOLVE_LIMIT, node_budget=None):
     """Run one full game; returns the transcript and outcome.
 
-    With the optimal adversary the outcome is the game value of the
-    selector's (possibly suboptimal) strategy, which is what certifies a
-    constructive strategy.
+    The optimal adversary plays one line: the least color whose child
+    position the selector loses, or else the least legal color.  A won
+    match therefore shows the strategy survives that line, not every
+    adversary reply.
     """
     if ben == "optimal":
         if g.n > solve_limit:

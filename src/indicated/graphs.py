@@ -443,17 +443,6 @@ def write_graph6(g):
     return "".join(out)
 
 
-def read_graph6_file(path):
-    """All graphs from a newline-separated graph6 file."""
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(parse_graph6(line))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # DOT export
 # ---------------------------------------------------------------------------

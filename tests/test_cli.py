@@ -130,6 +130,16 @@ def test_verify_class_missing_file():
     assert code == 2
 
 
+@pytest.mark.parametrize("stdin", ["", write_graph6(make_named("C", 5))])
+def test_verify_class_bad_krange_is_usage_error(stdin):
+    code, out = run_cli(["verify-class", "-", "kc5", "--krange", "1..x"],
+                        stdin=stdin)
+    assert code == 2
+    rep = parse_report(out)
+    assert "bad krange" in rep["error"]
+    assert rep["records"] == []
+
+
 def test_check_invariants_small(tmp_path):
     corpus = tmp_path / "c.g6"
     corpus.write_text("\n".join([

@@ -11,6 +11,7 @@ from indicated.errors import (
     TooLarge,
 )
 from indicated.game import (
+    GameSolver,
     GameState,
     alpha_exact,
     ann_wins,
@@ -233,6 +234,42 @@ def test_solver_canonicalizations_agree(rng):
             b = ann_wins(g, k, canon="twins", want_line=False).ann_wins
             c = ann_wins_reference(g, k)
             assert a == b == c
+
+
+class _CountTupleTwinSolver(GameSolver):
+    """Twins mode keyed by the unpacked per-class count tuples (the
+    reference for the packed, cached profile key)."""
+
+    def __init__(self, g, k):
+        super().__init__(g, k, canon="twins")
+        self._tw = twin_classes(g)
+
+    def _key(self, classes):
+        tw = self._tw
+        return tuple(sorted(tuple((c & t).bit_count() for t in tw) for c in classes))
+
+
+def _solve_counts(solver):
+    return solver.value(()), solver.nodes, solver.memo_hits, len(solver.memo)
+
+
+def test_twin_key_matches_count_tuple_reference(rng):
+    """The packed twin key induces the same equivalence as the count-tuple
+    key, so the search visits the same nodes with the same memo."""
+    graphs = [random_graph(rng, rng.randint(1, 7)) for _ in range(30)]
+    graphs += [complete_expansion(make_named("C", 5), (2, 2, 1, 1, 1)),
+               independent_expansion(make_named("C", 5), (3, 1, 1, 1, 1))]
+    assert sum(any(t.bit_count() > 1 for t in twin_classes(g)) for g in graphs) >= 10
+    for g in graphs:
+        for k in range(1, 5):
+            packed = _solve_counts(GameSolver(g, k, canon="twins"))
+            assert packed == _solve_counts(_CountTupleTwinSolver(g, k)), (g.edges(), k)
+    petersen = make_named("Petersen")
+    assert all(t.bit_count() == 1 for t in twin_classes(petersen))
+    for k in range(1, 5):
+        twins = GameSolver(petersen, k, canon="twins")
+        assert twins._twins is None
+        assert _solve_counts(twins) == _solve_counts(GameSolver(petersen, k))
 
 
 def test_chi_i_label_invariance(rng):
