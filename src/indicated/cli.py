@@ -7,6 +7,7 @@ Exit codes: 0 clean, 1 violations or lost games, 2 usage or input errors.
 import argparse
 import re
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 
 from . import reports
@@ -244,11 +245,11 @@ def _verify_one(payload):
                 match = play_match(g, k, strat, solve_limit=limit,
                                    node_budget=budget)
                 rec.update(reports.match_record(match))
-            except GraphGameError as exc:
-                rec["error"] = f"{type(exc).__name__}: {exc}"
+            except Exception as exc:
+                rec["error"] = _error_text(exc)
             recs.append(rec)
-    except GraphGameError as exc:
-        recs.append({"graph6": line, "error": f"{type(exc).__name__}: {exc}"})
+    except Exception as exc:
+        recs.append({"graph6": line, "error": _error_text(exc)})
     return recs
 
 
@@ -382,8 +383,8 @@ def _check_one(payload):
     line, invariant, kmax, limit, budget = payload
     try:
         return _INVARIANTS[invariant](line, kmax, limit, budget)
-    except GraphGameError as exc:
-        return {"graph6": line, "error": f"{type(exc).__name__}: {exc}"}
+    except Exception as exc:
+        return {"graph6": line, "error": _error_text(exc)}
 
 
 def cmd_enumerate_check(args):
@@ -411,6 +412,14 @@ def _read_corpus(path):
         return [ln.strip() for ln in sys.stdin if ln.strip()]
     with open(path) as fh:
         return [ln.strip() for ln in fh if ln.strip()]
+
+
+def _error_text(exc):
+    """Error-row text, so one bad record does not stop a corpus run; a
+    fault outside the package's own errors also prints its traceback."""
+    if not isinstance(exc, GraphGameError):
+        traceback.print_exception(type(exc), exc, exc.__traceback__)
+    return f"{type(exc).__name__}: {exc}"
 
 
 def _map_jobs(fn, payloads, jobs):

@@ -2,14 +2,15 @@
 
 All searches are deterministic: candidates are scanned in ascending id order,
 so the witness returned is the lexicographically least one.  Patterns are
-small (<= 10 vertices); the backtracking search with bitset pruning is more
-than enough at that scale.
+small (<= 10 vertices); `find_induced` is a backtracking search with forward
+checking over host-vertex bit masks, one candidate mask per pattern vertex.
 """
 
 from dataclasses import dataclass
+from itertools import combinations, permutations
 
 from .errors import PatternTooLarge
-from .graphs import Graph, bits, induced, mask_of
+from .graphs import Graph, bits, induced, make_named, mask_of
 
 MAX_PATTERN = 10
 
@@ -47,43 +48,49 @@ class Embedding:
 def find_induced(host, pattern):
     """Lexicographically least induced embedding of pattern in host, or None.
 
-    Pattern vertices are matched in id order; host candidates per pattern
-    vertex are pre-filtered by degree and extended with full
-    adjacency/non-adjacency checks against already-placed vertices.
+    Pattern vertices are placed in id order, each at the least host vertex
+    in its domain, a candidate mask that starts as the vertices of large
+    enough degree.  Placing u at v narrows each later domain to v's
+    neighbours or to its non-neighbours other than v, as ux is an edge or
+    not, and an empty domain backtracks.  Pruning drops only partial maps
+    with no extension, so the first map found is the least.
     """
-    if pattern.n > MAX_PATTERN:
-        raise PatternTooLarge(f"pattern has {pattern.n} > {MAX_PATTERN} vertices")
-    p, h = pattern, host
-    if p.n > h.n:
+    p, h, k = pattern, host, pattern.n
+    if k > MAX_PATTERN:
+        raise PatternTooLarge(f"pattern has {k} > {MAX_PATTERN} vertices")
+    if k > h.n:
         return None
-    if p.n == 0:
-        return Embedding(p, h, ())
-    pdeg = [p.degree(v) for v in range(p.n)]
-    cands = [[v for v in range(h.n) if h.degree(v) >= pdeg[u]] for u in range(p.n)]
-    image = [0] * p.n
-    used = 0
+    hadj = h.adj
+    fit = [0] * (h.n + 1)  # fit[t]: the host vertices of degree >= t
+    for v, row in enumerate(hadj):
+        fit[row.bit_count()] |= 1 << v
+    for t in reversed(range(h.n)):
+        fit[t] |= fit[t + 1]
+    # dom[u][x], x >= u: domain of pattern vertex x once 0..u-1 are placed.
+    dom = [[fit[row.bit_count()] for row in p.adj]] + [[0] * k for _ in range(k)]
+    later = [[(x, p.adj[u] >> x & 1) for x in range(u + 1, k)] for u in range(k)]
+    image = [0] * k
 
     def place(u):
-        nonlocal used
-        prow = p.adj[u]
-        for v in cands[u]:
-            bit = 1 << v
-            if used & bit:
-                continue
-            ok = True
-            for w in range(u):
-                if bool(prow & (1 << w)) != bool(h.adj[v] & (1 << image[w])):
-                    ok = False
+        if u == k:
+            return True
+        cur, nxt = dom[u], dom[u + 1]
+        m = cur[u]
+        while m:
+            low = m & -m
+            m ^= low
+            v = low.bit_length() - 1
+            a = hadj[v]
+            na = ~(a | low)
+            for x, edge in later[u]:
+                d = cur[x] & (a if edge else na)
+                if not d:
                     break
-            if not ok:
-                continue
-            image[u] = v
-            if u + 1 == p.n:
-                return True
-            used |= bit
-            if place(u + 1):
-                return True
-            used &= ~bit
+                nxt[x] = d
+            else:
+                image[u] = v
+                if place(u + 1):
+                    return True
         return False
 
     if place(0):
@@ -108,15 +115,10 @@ def find_induced_cycle(host, length):
     search extends by ascending ids, so the returned tuple is the
     lexicographically least among all orientations it examines.
     """
-    n = length
-    if n < 3 or n > host.n:
+    if length < 3 or length > host.n:
         return None
-    from .graphs import make_named
-
-    emb = find_induced(host, make_named("C", n))
-    if emb is None:
-        return None
-    return list(emb.map)
+    emb = find_induced(host, make_named("C", length))
+    return None if emb is None else list(emb.map)
 
 
 def is_bipartite(g):
@@ -223,8 +225,6 @@ def is_split(g):
 
 def _split_fallback(g, m):
     """Exhaustive search for a clique side of size m (rare tie repair)."""
-    from itertools import combinations
-
     for cl in combinations(range(g.n), m):
         cmask = mask_of(cl)
         if any((g.adj[v] & cmask).bit_count() != m - 1 for v in cl):
@@ -242,8 +242,6 @@ def brute_force_induced(host, pattern):
     Deliberately naive (used to cross-check find_induced); the only
     optimization is a sorted-degree prefilter per subset.
     """
-    from itertools import combinations, permutations
-
     p = pattern
     if p.n > host.n:
         return False

@@ -207,6 +207,7 @@ class GameSolver:
         self.memo = {}
         self.nodes = 0
         self.memo_hits = 0
+        self._full = g.full_mask()
         self._twins = None
         if canon == "twins":
             tw = twin_classes(g)
@@ -227,12 +228,11 @@ class GameSolver:
         if hit is not None:
             self.memo_hits += 1
             return hit
-        g = self.g
-        adj = g.adj
+        adj = self.g.adj
         colored = 0
         for c in classes:
             colored |= c
-        full = g.full_mask()
+        full = self._full
         if colored == full:
             memo[key] = True
             return True

@@ -156,6 +156,49 @@ def test_check_invariants_small(tmp_path):
     assert code == 0
 
 
+def test_check_record_fault_is_error_row(tmp_path, monkeypatch):
+    """An unexpected exception in one record becomes an error row, as a
+    package error does, and the rest of the corpus still runs."""
+    import indicated.cli as cli
+
+    lines = [write_graph6(make_named("C", 5)), write_graph6(make_named("K", 4)),
+             write_graph6(make_named("P", 4))]
+    corpus = tmp_path / "c.g6"
+    corpus.write_text("\n".join(lines) + "\n")
+    sandwich = cli._INVARIANTS["sandwich"]
+
+    def faulty(line, *rest):
+        if line == lines[1]:
+            raise RuntimeError("boom")
+        return sandwich(line, *rest)
+
+    monkeypatch.setitem(cli._INVARIANTS, "sandwich", faulty)
+    code, out = run_cli(["check", str(corpus), "sandwich", "--jobs", "1"])
+    rep = parse_report(out)
+    recs = rep["records"]
+    assert [r["graph6"] for r in recs] == lines
+    assert recs[0]["ok"] and recs[2]["ok"]
+    assert recs[1] == {"graph6": lines[1], "error": "RuntimeError: boom"}
+    assert rep["summary"]["errors"] == 1
+    # the exit code of any error row, as in test_verify_class_records_errors_not_fatal
+    assert code == 0
+
+
+def test_verify_class_record_fault_is_error_row(monkeypatch):
+    import indicated.cli as cli
+
+    def faulty(g, k, *args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "play_match", faulty)
+    line = write_graph6(make_named("C", 5))
+    code, out = run_cli(["verify-class", "-", "kc5"], stdin=line)
+    rep = parse_report(out)
+    assert rep["records"] == [{"graph6": line, "k": 3, "strategy": "kc5",
+                               "error": "RuntimeError: boom"}]
+    assert code == 0
+
+
 def test_check_formula_kc5():
     lines = "\n".join(write_graph6(complete_expansion(make_named("C", 5), m))
                       for m in ((1, 1, 1, 1, 1), (2, 2, 1, 1, 2)))

@@ -1,6 +1,7 @@
 import pytest
 
 from indicated.detect import (
+    MAX_PATTERN,
     brute_force_induced,
     find_induced,
     find_induced_cycle,
@@ -18,7 +19,14 @@ from indicated.graphs import (
     join,
     make_named,
 )
-from indicated.structure import family_figure1, family_p5k4kitebull
+from indicated.structure import (
+    family_figure1,
+    family_p5c4,
+    family_p5k4kitebull,
+    family_p6c5claw,
+    family_split_c5,
+    family_sumner,
+)
 
 from builders import random_graph
 
@@ -164,9 +172,9 @@ def test_find_induced_witness_is_lex_minimum(rng):
     from itertools import permutations
 
     patterns = [make_named("P", 3), make_named("P", 4), make_named("C", 4),
-                make_named("claw")]
+                make_named("claw"), make_named("Bull")]
     for _ in range(40):
-        host = random_graph(rng, rng.randint(3, 6))
+        host = random_graph(rng, rng.randint(3, 7))
         for pat in patterns:
             best = None
             for image in permutations(range(host.n), pat.n):
@@ -176,3 +184,61 @@ def test_find_induced_witness_is_lex_minimum(rng):
                         best = image
             emb = find_induced(host, pat)
             assert (emb.map if emb else None) == best
+
+
+def _per_bit_search(host, pattern):
+    """Reference: the original search, which tests each candidate against
+    every placed pattern vertex bit by bit.  Returns the map or None."""
+    p, h = pattern, host
+    if p.n > h.n:
+        return None
+    if p.n == 0:
+        return ()
+    pdeg = [p.degree(v) for v in range(p.n)]
+    cands = [[v for v in range(h.n) if h.degree(v) >= pdeg[u]] for u in range(p.n)]
+    image = [0] * p.n
+    used = 0
+
+    def place(u):
+        nonlocal used
+        prow = p.adj[u]
+        for v in cands[u]:
+            bit = 1 << v
+            if used & bit:
+                continue
+            ok = True
+            for w in range(u):
+                if bool(prow & (1 << w)) != bool(h.adj[v] & (1 << image[w])):
+                    ok = False
+                    break
+            if not ok:
+                continue
+            image[u] = v
+            if u + 1 == p.n:
+                return True
+            used |= bit
+            if place(u + 1):
+                return True
+            used &= ~bit
+        return False
+
+    if place(0):
+        return tuple(image)
+    return None
+
+
+def test_find_induced_witness_matches_per_bit_search(rng):
+    """The domain search returns the very map of the per-bit search."""
+    patterns = (family_p5k4kitebull() + family_p6c5claw() + family_p5c4()
+                + family_sumner() + family_split_c5() + family_figure1()
+                + [Graph(0)])
+    for n in range(11):
+        larger = [Graph(n + 1)] if n < MAX_PATTERN else []
+        for _ in range(12):
+            host = random_graph(rng, n, p=rng.choice((0.3, 0.5, 0.7)))
+            for pat in patterns + larger:
+                emb = find_induced(host, pat)
+                assert (emb.map if emb else None) == _per_bit_search(host, pat)
+    petersen = make_named("Petersen")
+    emb = find_induced(petersen, petersen)
+    assert emb.map == _per_bit_search(petersen, petersen) == tuple(range(10))
