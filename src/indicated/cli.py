@@ -144,12 +144,13 @@ def cmd_analyze(args):
         "max_degree": max((g.degree(v) for v in range(g.n)), default=0),
         "col": degeneracy(g).col,
     }
-    try:
-        rec["omega"] = omega_exact(g)
-        rec["alpha"] = alpha_exact(g)
-        rec["chi"] = chi_exact(g)
-    except GraphGameError as exc:
-        return _error_report("analyze", str(exc)), 2
+    skipped = []
+    for name, oracle in (("omega", omega_exact), ("alpha", alpha_exact),
+                         ("chi", chi_exact)):
+        try:
+            rec[name] = oracle(g)
+        except GraphGameError as exc:
+            skipped.append(f"{name}: {type(exc).__name__}: {exc}")
     rec["classes"] = _class_memberships(g)
     if args.decompose:
         try:
@@ -166,11 +167,13 @@ def cmd_analyze(args):
             rec["chi_i"] = res.chi_i
             rec["winnable"] = {str(k): v for k, v in res.winnable.items()}
         except GraphGameError as exc:
-            return _error_report("analyze", str(exc)), 2
-    report = reports.make_report("analyze", [rec])
+            skipped.append(f"chi_i: {type(exc).__name__}: {exc}")
+    if skipped:
+        rec["error"] = "; ".join(skipped)
+    code = 2 if skipped else None
     if args.format == "dot":
-        return to_dot(g), 0
-    return report, None
+        return to_dot(g), code or 0
+    return reports.make_report("analyze", [rec]), code
 
 
 def _class_memberships(g):

@@ -193,6 +193,12 @@ class GameSolver:
     the profile carries no more than the mask, and twins mode runs exactly
     as classes mode.  Ben's replies collapse fresh colors into one branch in
     both modes, since unused colors are interchangeable.
+
+    A position with one uncolored vertex is decided in place: the selector
+    wins iff that vertex has a legal color.  Completed colorings are never
+    built or stored, so after a fresh ``value(())`` the memo holds exactly
+    one entry per counted node.  Children are probed in the memo before the
+    search recurses into them.
     """
 
     def __init__(self, g, k, canon="classes", node_budget=None):
@@ -222,50 +228,67 @@ class GameSolver:
     def value(self, classes=()):
         """True iff the selector wins with optimal play from this
         selector-to-move position (classes: sorted tuple of class masks)."""
-        memo = self.memo
         key = self._key(classes)
-        hit = memo.get(key)
+        hit = self.memo.get(key)
         if hit is not None:
             self.memo_hits += 1
             return hit
-        adj = self.g.adj
+        return self._search(classes, key)
+
+    def _search(self, classes, key):
+        """Value of a position whose key is not in the memo; stores it
+        unless every vertex is colored."""
         colored = 0
         for c in classes:
             colored |= c
-        full = self._full
-        if colored == full:
-            memo[key] = True
+        free = self._full & ~colored
+        if not free:
             return True
         self.nodes += 1
         if self.node_budget is not None and self.nodes > self.node_budget:
             raise ResourceBudgetExceeded(f"node budget {self.node_budget} exceeded")
+        memo = self.memo
+        adj = self.g.adj
         open_slot = len(classes) < self.k
+        if not free & (free - 1):
+            # the last vertex: every legal color completes the coloring
+            row = adj[free.bit_length() - 1]
+            win = open_slot or any(not (c & row) for c in classes)
+            memo[key] = win
+            return win
+        fresh = [-1] if open_slot else []
         moves = []
-        for v in bits(full & ~colored):
-            row = adj[v]
-            legal = [i for i, c in enumerate(classes) if not (c & row)]
-            n_replies = len(legal) + (1 if open_slot else 0)
-            if n_replies == 0:
+        while free:
+            bit = free & -free
+            free ^= bit
+            row = adj[bit.bit_length() - 1]
+            # reply -1 opens a new class; i joins classes[i]
+            replies = fresh + [i for i, c in enumerate(classes) if not (c & row)]
+            if not replies:
                 memo[key] = False
                 return False
-            moves.append((n_replies, -(row & colored).bit_count(), v, legal))
+            moves.append((len(replies), -(row & colored).bit_count(), bit, replies))
         moves.sort()
-        for _, _, v, legal in moves:
-            bit = 1 << v
-            win_all = True
-            if open_slot:
-                child = tuple(sorted(classes + (bit,)))
-                if not self.value(child):
-                    win_all = False
-            if win_all:
-                for i in legal:
+        key_of = self._key
+        search = self._search
+        for _, _, bit, replies in moves:
+            for i in replies:
+                if i < 0:
+                    child = tuple(sorted(classes + (bit,)))
+                else:
                     tmp = list(classes)
                     tmp[i] |= bit
                     tmp.sort()
-                    if not self.value(tuple(tmp)):
-                        win_all = False
-                        break
-            if win_all:
+                    child = tuple(tmp)
+                child_key = key_of(child)
+                win = memo.get(child_key)
+                if win is None:
+                    win = search(child, child_key)
+                else:
+                    self.memo_hits += 1
+                if not win:
+                    break
+            else:
                 memo[key] = True
                 return True
         memo[key] = False
@@ -304,31 +327,19 @@ def _principal_line(solver):
     g, k = solver.g, solver.k
     by_color = [0] * k
     line = []
-    full = g.full_mask()
-    while True:
-        colored = 0
-        for m in by_color:
-            colored |= m
-        if colored == full:
+    full = solver._full
+    colored = 0
+    while colored != full:
+        moves = [(v, _concrete_replies(g, k, by_color, v))
+                 for v in bits(full & ~colored)]
+        if not all(r for _, r in moves):
             break
-        uncol = bits(full & ~colored)
-        if any(_concrete_replies(g, k, by_color, v) == [] for v in uncol):
-            break
-        move = None
-        for v in uncol:
-            if all(solver.value(ch) for _, ch in _concrete_replies(g, k, by_color, v)):
-                move = v
-                break
-        if move is None:
-            move = uncol[0]
-        best_c = None
-        for c, child in _concrete_replies(g, k, by_color, move):
-            if not solver.value(child):
-                best_c = c
-                break
-        if best_c is None:
-            best_c = _concrete_replies(g, k, by_color, move)[0][0]
+        move, replies = next(((v, r) for v, r in moves
+                              if all(solver.value(ch) for _, ch in r)), moves[0])
+        best_c = next((c for c, ch in replies if not solver.value(ch)),
+                      replies[0][0])
         by_color[best_c - 1] |= 1 << move
+        colored |= 1 << move
         line.append((move, best_c))
     return tuple(line)
 

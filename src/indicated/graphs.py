@@ -124,12 +124,10 @@ class Graph:
 def bits(mask):
     """Indices of set bits, ascending."""
     out = []
-    v = 0
     while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 

@@ -175,38 +175,32 @@ def _cycle_order(base):
 
 
 def _induced_cycles(g, n):
-    """All induced n-cycles, canonically (min vertex first, lesser neighbor
-    second), in lexicographic order."""
+    """All induced n-cycles (n >= 3), canonically (min vertex first, lesser
+    neighbor second), in lexicographic order."""
     adj = g.adj
     out = []
 
-    def grow(path, pmask):
-        i = len(path)
-        if i == n:
-            if adj[path[-1]] & 1 << path[0]:
-                out.append(tuple(path))
+    def grow(path, seen, first):
+        # seen: vertices <= path[0] and the closed neighborhoods of
+        # path[1..-2]; first: the neighbors of path[0], which only the
+        # closing vertex may touch
+        last = path[-1]
+        row = adj[last]
+        if len(path) == n - 1:
+            for x in bits(row & first & ~seen):
+                if path[1] < x:
+                    # canonical direction: second vertex below last
+                    out.append((*path, x))
             return
-        v0 = path[0]
-        for x in bits(adj[path[-1]]):
-            if x <= v0 or pmask & (1 << x):
-                continue
-            bad = False
-            for j in range(i - 1):
-                needs = (i == n - 1 and j == 0)
-                if bool(adj[x] & (1 << path[j])) != needs:
-                    bad = True
-                    break
-            if bad:
-                continue
-            if i == n - 1 and path[1] > x:
-                # canonical direction: second vertex below last
-                continue
+        for x in bits(row & ~first & ~seen):
             path.append(x)
-            grow(path, pmask | (1 << x))
+            grow(path, seen | row | (1 << last), first)
             path.pop()
 
     for v0 in range(g.n):
-        grow([v0], 1 << v0)
+        low = (2 << v0) - 1
+        for x in bits(adj[v0] & ~low):
+            grow([v0, x], low, adj[v0])
     return sorted(out)
 
 

@@ -71,6 +71,21 @@ def test_analyze_malformed_input_exits_2():
     assert "error" in parse_report(out)
 
 
+def test_analyze_over_limit_keeps_partial_results():
+    code, out = run_cli(["analyze", "P25"])
+    assert code == 2
+    (rec,) = parse_report(out)["records"]
+    assert (rec["omega"], rec["alpha"], rec["col"]) == (2, 13, 2)
+    assert rec["classes"]["bipartite"] is True
+    assert "chi" not in rec
+    assert rec["error"] == "chi: TooLarge: n=25 exceeds chromatic limit 20"
+    code, out = run_cli(["analyze", "K16", "--exact"])
+    assert code == 2
+    (rec,) = parse_report(out)["records"]
+    assert rec["chi"] == 16 and "chi_i" not in rec
+    assert rec["error"].startswith("chi_i: TooLarge:")
+
+
 def test_analyze_dot_output():
     code, out = run_cli(["analyze", "P3", "--format", "dot"])
     assert code == 0 and "0 -- 1" in out

@@ -22,11 +22,13 @@ from indicated.game import (
     chi_i,
     legal_colors,
     omega_exact,
+    _concrete_replies,
     play_match,
     twin_classes,
 )
 from indicated.graphs import (
     Graph,
+    bits,
     complete_expansion,
     independent_expansion,
     join,
@@ -270,6 +272,145 @@ def test_twin_key_matches_count_tuple_reference(rng):
         twins = GameSolver(petersen, k, canon="twins")
         assert twins._twins is None
         assert _solve_counts(twins) == _solve_counts(GameSolver(petersen, k))
+
+
+class _ParentSearchSolver(GameSolver):
+    """The search as it was before one-vertex positions were decided in
+    place: it recurses into, and memoizes, every completed coloring."""
+
+    def value(self, classes=()):
+        """True iff the selector wins with optimal play from this
+        selector-to-move position (classes: sorted tuple of class masks)."""
+        memo = self.memo
+        key = self._key(classes)
+        hit = memo.get(key)
+        if hit is not None:
+            self.memo_hits += 1
+            return hit
+        adj = self.g.adj
+        colored = 0
+        for c in classes:
+            colored |= c
+        full = self._full
+        if colored == full:
+            memo[key] = True
+            return True
+        self.nodes += 1
+        if self.node_budget is not None and self.nodes > self.node_budget:
+            raise ResourceBudgetExceeded(f"node budget {self.node_budget} exceeded")
+        open_slot = len(classes) < self.k
+        moves = []
+        for v in bits(full & ~colored):
+            row = adj[v]
+            legal = [i for i, c in enumerate(classes) if not (c & row)]
+            n_replies = len(legal) + (1 if open_slot else 0)
+            if n_replies == 0:
+                memo[key] = False
+                return False
+            moves.append((n_replies, -(row & colored).bit_count(), v, legal))
+        moves.sort()
+        for _, _, v, legal in moves:
+            bit = 1 << v
+            win_all = True
+            if open_slot:
+                child = tuple(sorted(classes + (bit,)))
+                if not self.value(child):
+                    win_all = False
+            if win_all:
+                for i in legal:
+                    tmp = list(classes)
+                    tmp[i] |= bit
+                    tmp.sort()
+                    if not self.value(tuple(tmp)):
+                        win_all = False
+                        break
+            if win_all:
+                memo[key] = True
+                return True
+        memo[key] = False
+        return False
+
+
+class _HitLog(dict):
+    """A memo that records the key of every hit."""
+
+    def __init__(self):
+        super().__init__()
+        self.hit_keys = []
+
+    def get(self, key):
+        hit = super().get(key)
+        if hit is not None:
+            self.hit_keys.append(key)
+        return hit
+
+
+def _parent_principal_line(solver):
+    g, k = solver.g, solver.k
+    by_color = [0] * k
+    line = []
+    full = g.full_mask()
+    while True:
+        colored = 0
+        for m in by_color:
+            colored |= m
+        if colored == full:
+            break
+        uncol = bits(full & ~colored)
+        if any(_concrete_replies(g, k, by_color, v) == [] for v in uncol):
+            break
+        move = None
+        for v in uncol:
+            if all(solver.value(ch) for _, ch in _concrete_replies(g, k, by_color, v)):
+                move = v
+                break
+        if move is None:
+            move = uncol[0]
+        best_c = None
+        for c, child in _concrete_replies(g, k, by_color, move):
+            if not solver.value(child):
+                best_c = c
+                break
+        if best_c is None:
+            best_c = _concrete_replies(g, k, by_color, move)[0][0]
+        by_color[best_c - 1] |= 1 << move
+        line.append((move, best_c))
+    return tuple(line)
+
+
+def test_last_vertex_shortcut_matches_parent_search(rng):
+    """Deciding one-vertex positions in place keeps every value, node
+    count, principal line and optimal reply, and stores exactly one memo
+    entry per node: the parent's entries and hits minus those on completed
+    colorings."""
+    graphs = [random_graph(rng, rng.randint(1, 8)) for _ in range(25)]
+    graphs.append(complete_expansion(make_named("C", 5), (2, 2, 1, 1, 1)))
+    wins = losses = 0
+    for g in graphs:
+        for k in range(1, 5):
+            for canon in ("classes", "twins"):
+                new = GameSolver(g, k, canon=canon)
+                old = _ParentSearchSolver(g, k, canon=canon)
+                old.memo = _HitLog()
+                win = new.value(())
+                assert (win, new.nodes) == (old.value(()), old.nodes), (g.edges(), k)
+                assert len(new.memo) == new.nodes
+                assert new.memo.items() <= old.memo.items()
+                assert new.memo_hits == sum(key in new.memo for key in old.memo.hit_keys)
+                wins += win
+                losses += not win
+                line = ann_wins(g, k, canon=canon).principal_line
+                assert line == _parent_principal_line(old), (g.edges(), k, canon)
+                state = GameState(g, k)
+                for v, c in line + ((None, None),):
+                    for u in state.uncolored():
+                        if legal_colors(state, u):
+                            state.pending = u
+                            assert ben_best_reply(state, new) == ben_best_reply(state, old)
+                            state.pending = None
+                    if v is not None:
+                        state.colors[v] = c
+    assert wins >= 50 and losses >= 50
 
 
 def test_chi_i_label_invariance(rng):

@@ -10,6 +10,7 @@ from indicated.graphs import (
     ExpansionSpec,
     Graph,
     PartKind,
+    bits,
     complement,
     complete_expansion,
     components,
@@ -226,3 +227,21 @@ def test_expand_edge_count_mixed_kinds(rng):
                        for m, k in zip(sizes, kinds) if k is PartKind.COMPLETE)
         cross = sum(sizes[i] * sizes[j] for i, j in base.edges())
         assert g.num_edges == internal + cross
+
+
+def test_bits_matches_shift_loop(rng):
+    def shift_loop(mask):
+        out = []
+        v = 0
+        while mask:
+            if mask & 1:
+                out.append(v)
+            mask >>= 1
+            v += 1
+        return out
+
+    masks = [0] + [1 << i for i in range(130)]
+    masks += [rng.getrandbits(w) for w in (8, 14, 63, 64, 65, 200) for _ in range(50)]
+    masks += [(1 << 64) - 1, (1 << 64) | 1, (1 << 200) - 1]
+    for mask in masks:
+        assert bits(mask) == shift_loop(mask)

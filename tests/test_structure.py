@@ -13,6 +13,7 @@ from indicated.errors import (
 from indicated.game import chi_exact
 from indicated.graphs import (
     Graph,
+    bits,
     complete_expansion,
     independent_expansion,
     join,
@@ -20,6 +21,7 @@ from indicated.graphs import (
     union,
 )
 from indicated.structure import (
+    _induced_cycles,
     chi_formula_kc5,
     chi_p5k4kitebull,
     decompose_p5c4,
@@ -31,7 +33,7 @@ from indicated.structure import (
     sumner_classify,
 )
 
-from builders import build_c6_form_instance, build_layered_c5_instance
+from builders import build_c6_form_instance, build_layered_c5_instance, random_graph
 
 C5 = make_named("C", 5)
 C6 = make_named("C", 6)
@@ -64,6 +66,57 @@ def test_recognize_expansion_exhaustive_roundtrip():
                     # module split is unique except for independent C4
                     # expansions (complete bipartite graphs)
                     assert sorted(es.sizes) == sorted(sizes)
+
+
+def _per_bit_induced_cycles(g, n):
+    """The cycle search as it was before mask narrowing: each extension is
+    checked against every path vertex bit by bit."""
+    adj = g.adj
+    out = []
+
+    def grow(path, pmask):
+        i = len(path)
+        if i == n:
+            if adj[path[-1]] & 1 << path[0]:
+                out.append(tuple(path))
+            return
+        v0 = path[0]
+        for x in bits(adj[path[-1]]):
+            if x <= v0 or pmask & (1 << x):
+                continue
+            bad = False
+            for j in range(i - 1):
+                needs = (i == n - 1 and j == 0)
+                if bool(adj[x] & (1 << path[j])) != needs:
+                    bad = True
+                    break
+            if bad:
+                continue
+            if i == n - 1 and path[1] > x:
+                # canonical direction: second vertex below last
+                continue
+            path.append(x)
+            grow(path, pmask | (1 << x))
+            path.pop()
+
+    for v0 in range(g.n):
+        grow([v0], 1 << v0)
+    return sorted(out)
+
+
+def test_induced_cycles_match_per_bit_search(rng):
+    found = dict.fromkeys(range(3, 9), 0)
+    graphs = [random_graph(rng, rng.randint(0, 10), p=rng.choice((0.2, 0.35, 0.5, 0.7)))
+              for _ in range(300)]
+    graphs += [C5, C6, make_named("Petersen"), complete_expansion(C5, (2, 1, 2, 1, 1)),
+               independent_expansion(make_named("C", 7), (2, 1, 1, 2, 1, 1, 1)),
+               independent_expansion(make_named("C", 8), (1, 2, 1, 1, 1, 1, 2, 1))]
+    for g in graphs:
+        for n in range(3, 9):
+            cycles = _induced_cycles(g, n)
+            assert cycles == _per_bit_induced_cycles(g, n), (g.edges(), n)
+            found[n] += len(cycles)
+    assert min(found.values()) >= 4, found
 
 
 def test_recognize_expansion_canonical_order():
