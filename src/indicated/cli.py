@@ -137,6 +137,8 @@ def cmd_analyze(args):
         g = parse_graph_spec(args.input)
     except GraphGameError as exc:
         return _error_report("analyze", str(exc)), 2
+    if args.format == "dot":
+        return to_dot(g), 0
     rec = {
         "graph6": write_graph6(g),
         "n": g.n,
@@ -170,10 +172,7 @@ def cmd_analyze(args):
             skipped.append(f"chi_i: {type(exc).__name__}: {exc}")
     if skipped:
         rec["error"] = "; ".join(skipped)
-    code = 2 if skipped else None
-    if args.format == "dot":
-        return to_dot(g), code or 0
-    return reports.make_report("analyze", [rec]), code
+    return reports.make_report("analyze", [rec]), 2 if skipped else None
 
 
 def _class_memberships(g):

@@ -12,6 +12,12 @@ their union.  An optional "twins" mode additionally quotients by swapping
 vertices with identical (open or closed) neighborhoods, which collapses the
 huge symmetric state spaces of expansion graphs; both modes are validated
 against a canonicalization-free reference solver.
+
+Every searched position is first tried for an elimination proof, the
+argument behind chi_i <= col.  If the uncolored vertices peel one at a
+time, each with fewer uncolored neighbors left than legal colors, the
+selector wins by presenting them in reverse peel order: a colored neighbor
+removes at most one color, so no vertex is ever blocked.
 """
 
 from dataclasses import dataclass, field
@@ -119,9 +125,12 @@ def legal_colors(state, v):
 
 
 def blocked_vertex(state):
-    """Least-id uncolored vertex with an empty legal set, or None."""
-    for v in range(state.graph.n):
-        if not state.colors[v] and not legal_colors(state, v):
+    """Least-id uncolored vertex with an empty legal set, or None: every
+    color's class meets its neighborhood."""
+    masks = state.color_class_masks()
+    adj = state.graph.adj
+    for v, c in enumerate(state.colors):
+        if not c and all(m & adj[v] for m in masks):
             return v
     return None
 
@@ -199,6 +208,13 @@ class GameSolver:
     built or stored, so after a fresh ``value(())`` the memo holds exactly
     one entry per counted node.  Children are probed in the memo before the
     search recurses into them.
+
+    A position with no blocked vertex is stored as a win, without a child,
+    when its uncolored vertices peel (the elimination proof of the module
+    docstring); at the root that is every k >= col, in one node.  The peel
+    runs only when some vertex peels at once, a test the move loop makes
+    from a degree table and the colored-neighbor count it takes for move
+    ordering.  Values are exact either way; only the node count drops.
     """
 
     def __init__(self, g, k, canon="classes", node_budget=None):
@@ -214,6 +230,7 @@ class GameSolver:
         self.nodes = 0
         self.memo_hits = 0
         self._full = g.full_mask()
+        self._deg = [row.bit_count() for row in g.adj]
         self._twins = None
         if canon == "twins":
             tw = twin_classes(g)
@@ -257,17 +274,40 @@ class GameSolver:
             memo[key] = win
             return win
         fresh = [-1] if open_slot else []
+        # a vertex's legal colors: its replies plus the unused colors that
+        # the one fresh reply stands for
+        spare = self.k - len(classes) - open_slot
+        deg = self._deg
         moves = []
+        peel = 0
         while free:
             bit = free & -free
             free ^= bit
-            row = adj[bit.bit_length() - 1]
+            v = bit.bit_length() - 1
+            row = adj[v]
             # reply -1 opens a new class; i joins classes[i]
             replies = fresh + [i for i, c in enumerate(classes) if not (c & row)]
             if not replies:
                 memo[key] = False
                 return False
-            moves.append((len(replies), -(row & colored).bit_count(), bit, replies))
+            n_replies = len(replies)
+            taken = (row & colored).bit_count()
+            moves.append((n_replies, -taken, bit, replies))
+            if deg[v] - taken < n_replies + spare:
+                peel |= bit
+        if peel:
+            # peel the rest in sweeps until it is empty or a sweep is stuck
+            rest = self._full & ~(colored | peel)
+            stuck = 0
+            while rest != stuck:
+                stuck = rest
+                for n_replies, _, bit, _ in moves:
+                    if (bit & rest and (adj[bit.bit_length() - 1] & rest).bit_count()
+                            < n_replies + spare):
+                        rest ^= bit
+            if not rest:
+                memo[key] = True
+                return True
         moves.sort()
         key_of = self._key
         search = self._search

@@ -1,8 +1,10 @@
+import hashlib
 import io
 import sys
 
 import pytest
 
+from indicated import cli
 from indicated.cli import main, parse_graph_spec, parse_krange
 from indicated.graphs import complete_expansion, make_named, write_graph6
 from indicated.reports import make_report, parse_report, serialize_report
@@ -89,6 +91,29 @@ def test_analyze_over_limit_keeps_partial_results():
 def test_analyze_dot_output():
     code, out = run_cli(["analyze", "P3", "--format", "dot"])
     assert code == 0 and "0 -- 1" in out
+
+
+def test_analyze_dot_prints_straight_after_parsing(monkeypatch):
+    """DOT output runs no oracle, class tag, decomposition or game solve,
+    and its text is unchanged; an input over the chi limit exits 0, since
+    DOT never shows chi."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("analysis ran for DOT output")
+
+    for name in ("chi_i", "chi_exact", "omega_exact", "alpha_exact",
+                 "degeneracy", "_class_memberships"):
+        monkeypatch.setattr(cli, name, refuse)
+    monkeypatch.setattr(cli, "_DECOMPOSERS", {k: refuse for k in cli._DECOMPOSERS})
+    code, out = run_cli(["analyze", "P3", "--format", "dot", "--exact"])
+    assert code == 0
+    assert out == "graph G {\n  0;\n  1;\n  2;\n  0 -- 1;\n  1 -- 2;\n}\n"
+    code, out = run_cli(["analyze", "IC7:2,2,2,2,2,2,2", "--format", "dot", "--exact",
+                         "--kmax", "6", "--decompose", "expansion-c5"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "6741b901d9fefe1795351b6f04d5f945017d436ae88fea6f1c1a071b44424d51"
+    code, out = run_cli(["analyze", "P25", "--format", "dot"])
+    assert code == 0 and out.count(" -- ") == 24
 
 
 def test_play_transcript():

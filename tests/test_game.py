@@ -30,6 +30,7 @@ from indicated.graphs import (
     Graph,
     bits,
     complete_expansion,
+    degeneracy,
     independent_expansion,
     join,
     make_named,
@@ -379,13 +380,14 @@ def _parent_principal_line(solver):
 
 
 def test_last_vertex_shortcut_matches_parent_search(rng):
-    """Deciding one-vertex positions in place keeps every value, node
-    count, principal line and optimal reply, and stores exactly one memo
-    entry per node: the parent's entries and hits minus those on completed
-    colorings."""
+    """Deciding one-vertex positions in place, and peeling positions, keep
+    every value, principal line and optimal reply, and store exactly one
+    memo entry per node.  The peel only prunes, so the nodes and memo
+    entries are a subset of the parent's, and the hits are at most the
+    parent's hits on those entries."""
     graphs = [random_graph(rng, rng.randint(1, 8)) for _ in range(25)]
     graphs.append(complete_expansion(make_named("C", 5), (2, 2, 1, 1, 1)))
-    wins = losses = 0
+    wins = losses = fewer = 0
     for g in graphs:
         for k in range(1, 5):
             for canon in ("classes", "twins"):
@@ -393,10 +395,12 @@ def test_last_vertex_shortcut_matches_parent_search(rng):
                 old = _ParentSearchSolver(g, k, canon=canon)
                 old.memo = _HitLog()
                 win = new.value(())
-                assert (win, new.nodes) == (old.value(()), old.nodes), (g.edges(), k)
+                assert win == old.value(()), (g.edges(), k)
+                assert new.nodes <= old.nodes
+                fewer += new.nodes < old.nodes
                 assert len(new.memo) == new.nodes
                 assert new.memo.items() <= old.memo.items()
-                assert new.memo_hits == sum(key in new.memo for key in old.memo.hit_keys)
+                assert new.memo_hits <= sum(key in new.memo for key in old.memo.hit_keys)
                 wins += win
                 losses += not win
                 line = ann_wins(g, k, canon=canon).principal_line
@@ -411,6 +415,147 @@ def test_last_vertex_shortcut_matches_parent_search(rng):
                     if v is not None:
                         state.colors[v] = c
     assert wins >= 50 and losses >= 50
+    assert fewer >= 100
+
+
+class _NoPeelSolver(GameSolver):
+    """The search as it was before positions were decided by peeling."""
+
+    def _search(self, classes, key):
+        """Value of a position whose key is not in the memo; stores it
+        unless every vertex is colored."""
+        colored = 0
+        for c in classes:
+            colored |= c
+        free = self._full & ~colored
+        if not free:
+            return True
+        self.nodes += 1
+        if self.node_budget is not None and self.nodes > self.node_budget:
+            raise ResourceBudgetExceeded(f"node budget {self.node_budget} exceeded")
+        memo = self.memo
+        adj = self.g.adj
+        open_slot = len(classes) < self.k
+        if not free & (free - 1):
+            # the last vertex: every legal color completes the coloring
+            row = adj[free.bit_length() - 1]
+            win = open_slot or any(not (c & row) for c in classes)
+            memo[key] = win
+            return win
+        fresh = [-1] if open_slot else []
+        moves = []
+        while free:
+            bit = free & -free
+            free ^= bit
+            row = adj[bit.bit_length() - 1]
+            # reply -1 opens a new class; i joins classes[i]
+            replies = fresh + [i for i, c in enumerate(classes) if not (c & row)]
+            if not replies:
+                memo[key] = False
+                return False
+            moves.append((len(replies), -(row & colored).bit_count(), bit, replies))
+        moves.sort()
+        key_of = self._key
+        search = self._search
+        for _, _, bit, replies in moves:
+            for i in replies:
+                if i < 0:
+                    child = tuple(sorted(classes + (bit,)))
+                else:
+                    tmp = list(classes)
+                    tmp[i] |= bit
+                    tmp.sort()
+                    child = tuple(tmp)
+                child_key = key_of(child)
+                win = memo.get(child_key)
+                if win is None:
+                    win = search(child, child_key)
+                else:
+                    self.memo_hits += 1
+                if not win:
+                    break
+            else:
+                memo[key] = True
+                return True
+        memo[key] = False
+        return False
+
+
+def test_peel_values_match_reference_at_root(rng):
+    """With the peel, root values still equal the canonicalization-free
+    reference in both canon modes."""
+    peeled = 0
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(1, 8), p=rng.choice((0.3, 0.5, 0.7)))
+        for k in range(1, 6):
+            ref = ann_wins_reference(g, k)
+            for canon in ("classes", "twins"):
+                solver = GameSolver(g, k, canon=canon)
+                assert solver.value(()) == ref, (g.edges(), k, canon)
+                peeled += solver.nodes < _solve_counts(_NoPeelSolver(g, k, canon=canon))[1]
+    assert peeled >= 50
+
+
+def _random_partial_coloring(rng, g, k):
+    """A proper partial coloring reached by coloring random vertices with
+    random legal colors; it may leave a vertex blocked."""
+    state = GameState(g, k)
+    for v in rng.sample(range(g.n), rng.randint(0, g.n - 1)):
+        legal = sorted(legal_colors(state, v))
+        if legal:
+            state.colors[v] = rng.choice(legal)
+    return state
+
+
+def test_blocked_vertex_matches_legal_sets(rng):
+    """The class-mask test finds the same least-id blocked vertex as the
+    set-based legal colors."""
+    blocked = 0
+    for _ in range(400):
+        g = random_graph(rng, rng.randint(1, 9), p=rng.choice((0.3, 0.5, 0.7)))
+        state = _random_partial_coloring(rng, g, rng.randint(1, 5))
+        expect = next((v for v in state.uncolored() if not legal_colors(state, v)), None)
+        assert blocked_vertex(state) == expect, (g.edges(), state.k, state.colors)
+        blocked += expect is not None
+    assert 50 <= blocked <= 350
+
+
+def test_peel_values_match_unpeeled_search_inside(rng):
+    """At interior positions the peeled search gives the unpeeled search's
+    value, with no more nodes."""
+    positions = 0
+    for _ in range(30):
+        g = random_graph(rng, rng.randint(2, 9), p=rng.choice((0.3, 0.5, 0.7)))
+        for k in range(1, 6):
+            for canon in ("classes", "twins"):
+                new = GameSolver(g, k, canon=canon)
+                old = _NoPeelSolver(g, k, canon=canon)
+                for _ in range(6):
+                    state = _random_partial_coloring(rng, g, k)
+                    assert new.state_value(state) == old.state_value(state), \
+                        (g.edges(), k, canon, state.colors)
+                    positions += 1
+                assert new.nodes <= old.nodes
+    assert positions >= 1500
+
+
+def test_peel_decides_root_at_coloring_number(rng):
+    """At the root every vertex has k legal colors, so the whole graph peels
+    iff k >= col, and then the search takes one node.  IC7:2^7 has col = 5."""
+    g = independent_expansion(make_named("C", 7), (2,) * 7)
+    assert degeneracy(g).col == 5
+    for k in (5, 6):
+        for canon in ("classes", "twins"):
+            solver = GameSolver(g, k, canon=canon)
+            assert solver.value(()) and (solver.nodes, len(solver.memo)) == (1, 1)
+    assert GameSolver(g, 4).value(())
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(2, 9), p=rng.choice((0.3, 0.5, 0.7)))
+        col = degeneracy(g).col
+        for k in range(1, col + 2):
+            solver = GameSolver(g, k)
+            solver.value(())
+            assert (solver.nodes == 1) == (k >= col), (g.edges(), k)
 
 
 def test_chi_i_label_invariance(rng):
