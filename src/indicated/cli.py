@@ -11,8 +11,15 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor
 
 from . import reports
-from .detect import brute_force_induced, find_induced, is_bipartite, is_chordal, is_split
-from .errors import GraphGameError
+from .detect import (
+    brute_force_induced,
+    find_induced,
+    is_bipartite,
+    is_chordal,
+    is_family_free,
+    is_split,
+)
+from .errors import GraphGameError, NotApplicable
 from .game import (
     DEFAULT_SOLVE_LIMIT,
     chi_exact,
@@ -36,11 +43,15 @@ from .structure import (
     decompose_p5k4kitebull,
     decompose_p6c5claw,
     family_figure1,
+    family_p5c4,
+    family_p5k4kitebull,
+    family_p6c5claw,
+    family_split_c5,
+    family_sumner,
     recognize_expansion,
     sumner_classify,
 )
 from .strategies import STRATEGY_REGISTRY, strat_solver_backed
-from .errors import NotApplicable
 
 _NAMED_RE = re.compile(r"^([PCKW])(\d+)$", re.IGNORECASE)
 _EXPANSION_RE = re.compile(r"^(K|I)C(\d+):([\d,]+)$", re.IGNORECASE)
@@ -176,10 +187,6 @@ def cmd_analyze(args):
 
 
 def _class_memberships(g):
-    from .structure import (family_p5c4, family_p5k4kitebull, family_p6c5claw,
-                            family_split_c5, family_sumner)
-    from .detect import is_family_free
-
     out = {}
     for name, fam in (
         ("p5k4kitebull_free", family_p5k4kitebull()),

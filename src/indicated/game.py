@@ -125,12 +125,19 @@ def legal_colors(state, v):
 
 
 def blocked_vertex(state):
-    """Least-id uncolored vertex with an empty legal set, or None: every
-    color's class meets its neighborhood."""
+    """Least-id uncolored vertex with an empty legal set, or None."""
     masks = state.color_class_masks()
-    adj = state.graph.adj
-    for v, c in enumerate(state.colors):
-        if not c and all(m & adj[v] for m in masks):
+    free = state.graph.full_mask()
+    for m in masks:
+        free ^= m
+    return _first_blocked(state.graph.adj, masks, free)
+
+
+def _first_blocked(adj, by_color, free):
+    """Least vertex of the mask free whose neighborhood meets every color's
+    class mask in by_color, or None."""
+    for v in bits(free):
+        if all(m & adj[v] for m in by_color):
             return v
     return None
 
@@ -334,6 +341,51 @@ class GameSolver:
         memo[key] = False
         return False
 
+    def reply(self, by_color, v):
+        """The colorist's answer on uncolored vertex v, where by_color[c-1]
+        is color c's class mask: (c, False) for the least legal color c
+        whose child position the selector loses, (least legal color, True)
+        when no legal color refutes the selector, None when v is blocked.
+        Children are probed in ascending color order up to the first loss.
+        """
+        bit = 1 << v
+        row = self.g.adj[v]
+        classes = [m for m in by_color if m]
+        least = None
+        for c, m in enumerate(by_color, 1):
+            if m & row:
+                continue
+            if least is None:
+                least = c
+            child = list(classes)
+            if m:
+                child[child.index(m)] = m | bit
+            else:
+                child.append(bit)
+            if not self.value(tuple(sorted(child))):
+                return c, False
+        return None if least is None else (least, True)
+
+    def move(self, by_color):
+        """A round from the selector-to-move position by_color (as for
+        reply): (v, c, True) for the least vertex v on which no color
+        refutes the selector, c its least legal color; else (least
+        uncolored vertex, its refuting color, False).  None, without a
+        solver call, when every vertex is colored or one is blocked."""
+        colored = 0
+        for m in by_color:
+            colored |= m
+        free = self._full & ~colored
+        if not free or _first_blocked(self.g.adj, by_color, free) is not None:
+            return None
+        fallback = None
+        for v in bits(free):
+            c, win = self.reply(by_color, v)
+            if win:
+                return v, c, True
+            fallback = fallback or (v, c, False)
+        return fallback
+
     def state_value(self, state):
         """Value of a live selector-to-move position."""
         classes = tuple(sorted(m for m in state.color_class_masks() if m))
@@ -364,42 +416,13 @@ def ann_wins(g, k, *, canon="classes", solve_limit=DEFAULT_SOLVE_LIMIT,
 
 
 def _principal_line(solver):
-    g, k = solver.g, solver.k
-    by_color = [0] * k
+    by_color = [0] * solver.k
     line = []
-    full = solver._full
-    colored = 0
-    while colored != full:
-        moves = [(v, _concrete_replies(g, k, by_color, v))
-                 for v in bits(full & ~colored)]
-        if not all(r for _, r in moves):
-            break
-        move, replies = next(((v, r) for v, r in moves
-                              if all(solver.value(ch) for _, ch in r)), moves[0])
-        best_c = next((c for c, ch in replies if not solver.value(ch)),
-                      replies[0][0])
-        by_color[best_c - 1] |= 1 << move
-        colored |= 1 << move
-        line.append((move, best_c))
+    while (step := solver.move(by_color)) is not None:
+        v, c, _ = step
+        by_color[c - 1] |= 1 << v
+        line.append((v, c))
     return tuple(line)
-
-
-def _concrete_replies(g, k, by_color, v):
-    """(color, child classes) for every legal concrete color on v."""
-    bit = 1 << v
-    row = g.adj[v]
-    out = []
-    for c in range(1, k + 1):
-        m = by_color[c - 1]
-        if m & row:
-            continue
-        child = [x for x in by_color if x]
-        if m:
-            child[child.index(m)] = m | bit
-        else:
-            child.append(bit)
-        out.append((c, tuple(sorted(child))))
-    return out
 
 
 def ann_wins_reference(g, k, *, solve_limit=8):
@@ -483,17 +506,12 @@ def ben_best_reply(state, solver=None):
     if state.pending is None:
         raise BadParam("no pending vertex")
     v = state.pending
-    g, k = state.graph, state.k
     if solver is None:
-        solver = GameSolver(g, k, canon="twins")
-    by_color = state.color_class_masks()
-    replies = _concrete_replies(g, k, by_color, v)
-    if not replies:
+        solver = GameSolver(state.graph, state.k, canon="twins")
+    answer = solver.reply(state.color_class_masks(), v)
+    if answer is None:
         raise NoLegalColor(f"vertex {v} is blocked")
-    for c, child in replies:
-        if not solver.value(child):
-            return c
-    return replies[0][0]
+    return answer[0]
 
 
 class OptimalBen:

@@ -1,10 +1,13 @@
-"""Constructive vertex-selection strategies, each certified by play against
-the optimal adversary.
+"""Constructive vertex-selection strategies, each checked by one match
+against the optimal adversary: that plays one adversary line, not every
+reply.
 
-A strategy is a stateful policy: ``next_vertex(state)`` picks the vertex to
-present, ``notify(state)`` observes the adversary's reply.  Factories raise
-NotApplicable when the graph is outside the strategy's class and
-BoundViolated when the palette is below the strategy's guaranteed bound.
+A strategy is a policy: ``next_vertex(state)`` picks the vertex to present.
+An optional ``notify(state)`` observes the adversary's reply (the base
+class's is a no-op); the C5 ledger plan uses it to check its counters.
+Factories raise NotApplicable when the graph is outside the strategy's
+class and BoundViolated when the palette is below the strategy's
+guaranteed bound.
 
 Several strategies run sub-strategies on induced subgraphs over a virtual
 palette (a subset of the host colors).  The wrapper checks that every reply
@@ -26,13 +29,14 @@ from .errors import (
     StrategyInvariantViolation,
     TooLarge,
 )
-from .game import DEFAULT_SOLVE_LIMIT, GameSolver, GameState, _concrete_replies, chi_exact
+from .game import DEFAULT_SOLVE_LIMIT, GameSolver, GameState, chi_exact
 from .graphs import components, degeneracy, induced, make_named
 from .structure import (
     chi_formula_kc5,
     chi_p5k4kitebull,
     decompose_p5c4,
     decompose_p5k4kitebull,
+    dihedral_orders,
     family_p6c5_house_claw,
     recognize_expansion,
 )
@@ -206,15 +210,10 @@ class _SolverStrategy(Strategy):
         self.solver = solver
 
     def next_vertex(self, state):
-        g, k = self.solver.g, self.solver.k
-        by_color = state.color_class_masks()
-        for v in range(g.n):
-            if state.colors[v]:
-                continue
-            replies = _concrete_replies(g, k, by_color, v)
-            if replies and all(self.solver.value(ch) for _, ch in replies):
-                return v
-        raise StrategyInvariantViolation("solver-backed strategy in a lost position")
+        step = self.solver.move(state.color_class_masks())
+        if step is None or not step[2]:
+            raise StrategyInvariantViolation("solver-backed strategy in a lost position")
+        return step[0]
 
 
 def strat_cycle_expansion(g, k):
@@ -241,24 +240,12 @@ def strat_cycle_expansion(g, k):
 # complete expansions of C6
 # ---------------------------------------------------------------------------
 
-def _dihedral_orders(n):
-    for refl in (False, True):
-        base = list(range(n)) if not refl else [0] + list(range(n - 1, 0, -1))
-        for r in range(n):
-            yield [base[(i + r) % n] for i in range(n)]
-
-
 def _rotate_modules(structure, score):
     """Best dihedral reordering of the modules by `score` (lower wins)."""
     mods = structure.modules
-    n = len(mods)
-    best = None
-    for perm in _dihedral_orders(n):
-        cand = tuple(mods[p] for p in perm)
-        key = score(tuple(len(m) for m in cand)) + (tuple(m[0] for m in cand),)
-        if best is None or key < best[0]:
-            best = (key, cand)
-    return best[1]
+    return min((tuple(mods[p] for p in perm) for perm in dihedral_orders(len(mods))),
+               key=lambda cand: score(tuple(len(m) for m in cand))
+               + (tuple(m[0] for m in cand),))
 
 
 def strat_kc6(g, k):
@@ -283,54 +270,31 @@ class _KC6Strategy(Strategy):
         self.g = g
         self.k = k
         self.modules = modules
-        self.inspection = []
-        self._stage = 0    # 0: m0+m1, 1: m2, 2: m5, 3: m3 scan, 4: m4, 5: m3 rest
 
     def _uncolored(self, state, idx):
         return [v for v in self.modules[idx] if not state.colors[v]]
 
-    def _avail(self, state, idx):
-        taken = set()
-        for j in (idx - 1, idx, idx + 1):
-            for v in self.modules[j % 6]:
-                if state.colors[v]:
-                    taken.add(state.colors[v])
-        return set(range(1, self.k + 1)) - taken
-
     def next_vertex(self, state):
-        plan = [sorted(self.modules[0] + self.modules[1]), self.modules[2],
-                self.modules[5]]
-        for stage in range(3):
-            if self._stage == stage:
-                todo = [v for v in plan[stage] if not state.colors[v]]
-                if todo:
-                    return todo[0]
-                self._stage = stage + 1
-        if self._stage == 3:
-            m3_left = self._uncolored(state, 3)
-            m4_left = self._uncolored(state, 4)
-            if m3_left and len(self._avail(state, 4)) > len(m4_left):
-                return m3_left[0]
-            self._stage = 4
-        if self._stage == 4:
-            m4_left = self._uncolored(state, 4)
-            if len(self._avail(state, 4)) < len(m4_left):
-                raise StrategyInvariantViolation(
-                    "fewer colors than uncolored vertices in the deferred module")
-            if m4_left:
-                return m4_left[0]
-            self._stage = 5
+        for part in (sorted(self.modules[0] + self.modules[1]), self.modules[2],
+                     self.modules[5]):
+            for v in part:
+                if not state.colors[v]:
+                    return v
+        # m4's legal colors avail(4) are the palette minus those on m3, m4
+        # and m5.  Every m4 reply takes one of them, so this slack never
+        # grows back: once m3 stops, it waits until m4 is done.
         m3_left = self._uncolored(state, 3)
-        if m3_left:
+        m4_left = self._uncolored(state, 4)
+        taken = {state.colors[v] for j in (3, 4, 5) for v in self.modules[j]} - {0}
+        slack = self.k - len(taken) - len(m4_left)
+        if m3_left and slack > 0:
             return m3_left[0]
+        if slack < 0:
+            raise StrategyInvariantViolation(
+                "fewer colors than uncolored vertices in the deferred module")
+        if rest := m4_left + m3_left:
+            return rest[0]
         raise StrategyInvariantViolation("no vertex left to present")
-
-    def notify(self, state):
-        # stronger quantity kept for inspection only: colors still open for
-        # the opposite pair, against its remaining demand
-        a34 = self._avail(state, 3) | self._avail(state, 4)
-        demand = len(self._uncolored(state, 3)) + len(self._uncolored(state, 4))
-        self.inspection.append((len(a34), demand))
 
 
 # ---------------------------------------------------------------------------

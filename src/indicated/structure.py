@@ -333,18 +333,17 @@ def _assign_to_cycle(g, seed, n, only_complete, only_independent):
     return None
 
 
-def _canonical_rotation(modules, kinds, n):
-    best = None
+def dihedral_orders(n):
+    """The 2n rotations and reflections of cycle positions 0..n-1, as
+    position lists: the rotations first, then the reflected rotations."""
     for refl in (False, True):
-        idx = list(range(n))
-        if refl:
-            idx = [0] + list(range(n - 1, 0, -1))
+        base = list(range(n)) if not refl else [0] + list(range(n - 1, 0, -1))
         for r in range(n):
-            perm = [idx[(i + r) % n] for i in range(n)]
-            key = tuple(modules[p][0] for p in perm)
-            if best is None or key < best[0]:
-                best = (key, perm)
-    perm = best[1]
+            yield [base[(i + r) % n] for i in range(n)]
+
+
+def _canonical_rotation(modules, kinds, n):
+    perm = min(dihedral_orders(n), key=lambda p: tuple(modules[q][0] for q in p))
     return [modules[p] for p in perm], [kinds[p] for p in perm]
 
 

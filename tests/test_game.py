@@ -8,11 +8,13 @@ from indicated.errors import (
     ResourceBudgetExceeded,
     ScriptError,
     StrategyIllegalMove,
+    StrategyInvariantViolation,
     TooLarge,
 )
 from indicated.game import (
     GameSolver,
     GameState,
+    SolveResult,
     alpha_exact,
     ann_wins,
     ann_wins_reference,
@@ -22,7 +24,7 @@ from indicated.game import (
     chi_i,
     legal_colors,
     omega_exact,
-    _concrete_replies,
+    _principal_line,
     play_match,
     twin_classes,
 )
@@ -36,7 +38,7 @@ from indicated.graphs import (
     make_named,
     union,
 )
-from indicated.strategies import Strategy
+from indicated.strategies import Strategy, strat_solver_backed
 
 from builders import random_graph
 
@@ -133,6 +135,22 @@ def test_ben_best_reply_examples():
     st = GameState(c4, 2, [1, 0, 2, 0], pending=1)
     with pytest.raises(NoLegalColor):
         ben_best_reply(st)
+
+
+def test_solver_move_and_reply_examples():
+    c4 = make_named("C", 4)
+    solver = GameSolver(c4, 2)
+    # vertex 1 sees both colors: no move, no reply and no solver call
+    assert solver.move([0b0001, 0b0100]) is None
+    assert solver.reply([0b0001, 0b0100], 1) is None
+    assert solver.move([0b0101, 0b1010]) is None
+    assert solver.nodes == 0
+    assert solver.move([0, 0]) == (0, 1, True)
+    assert solver.reply([0, 0], 0) == (1, True)
+    # color 1 on the opposite vertex wins for the selector, color 2 refutes
+    assert solver.reply([0b0001, 0], 2) == (2, False)
+    # no vertex wins: the least vertex and its least refuting color
+    assert GameSolver(make_named("K", 3), 2).move([0, 0]) == (0, 1, False)
 
 
 class _Scripted(Strategy):
@@ -344,6 +362,24 @@ class _HitLog(dict):
         if hit is not None:
             self.hit_keys.append(key)
         return hit
+
+
+def _concrete_replies(g, k, by_color, v):
+    """(color, child classes) for every legal concrete color on v."""
+    bit = 1 << v
+    row = g.adj[v]
+    out = []
+    for c in range(1, k + 1):
+        m = by_color[c - 1]
+        if m & row:
+            continue
+        child = [x for x in by_color if x]
+        if m:
+            child[child.index(m)] = m | bit
+        else:
+            child.append(bit)
+        out.append((c, tuple(sorted(child))))
+    return out
 
 
 def _parent_principal_line(solver):
@@ -679,3 +715,131 @@ def test_known_instances_corroborate_engine():
     assert res.chi_i == 4
     assert res.winnable == {1: False, 2: False, 3: False,
                             4: True, 5: True, 6: True}
+
+
+# The principal line, the optimal reply and the solver-backed selector as
+# each derived "a winning vertex or a refuting color" from _concrete_replies
+# before GameSolver.move and GameSolver.reply answered it.
+
+def _replies_principal_line(solver):
+    g, k = solver.g, solver.k
+    by_color = [0] * k
+    line = []
+    full = solver._full
+    colored = 0
+    while colored != full:
+        moves = [(v, _concrete_replies(g, k, by_color, v))
+                 for v in bits(full & ~colored)]
+        if not all(r for _, r in moves):
+            break
+        move, replies = next(((v, r) for v, r in moves
+                              if all(solver.value(ch) for _, ch in r)), moves[0])
+        best_c = next((c for c, ch in replies if not solver.value(ch)),
+                      replies[0][0])
+        by_color[best_c - 1] |= 1 << move
+        colored |= 1 << move
+        line.append((move, best_c))
+    return tuple(line)
+
+
+def _replies_ben_best_reply(state, solver=None):
+    """A color minimizing the selector's continuation value for the pending
+    vertex; least color among optimal replies."""
+    if state.pending is None:
+        raise BadParam("no pending vertex")
+    v = state.pending
+    g, k = state.graph, state.k
+    if solver is None:
+        solver = GameSolver(g, k, canon="twins")
+    by_color = state.color_class_masks()
+    replies = _concrete_replies(g, k, by_color, v)
+    if not replies:
+        raise NoLegalColor(f"vertex {v} is blocked")
+    for c, child in replies:
+        if not solver.value(child):
+            return c
+    return replies[0][0]
+
+
+class _RepliesSolverStrategy(Strategy):
+    name = "solver"
+
+    def __init__(self, solver):
+        self.solver = solver
+
+    def next_vertex(self, state):
+        g, k = self.solver.g, self.solver.k
+        by_color = state.color_class_masks()
+        for v in range(g.n):
+            if state.colors[v]:
+                continue
+            replies = _concrete_replies(g, k, by_color, v)
+            if replies and all(self.solver.value(ch) for _, ch in replies):
+                return v
+        raise StrategyInvariantViolation("solver-backed strategy in a lost position")
+
+
+class _RepliesBen:
+    def __init__(self, solver):
+        self.solver = solver
+
+    def reply(self, state):
+        return _replies_ben_best_reply(state, self.solver)
+
+
+def _same_counts(a, b):
+    return (a.nodes, len(a.memo), a.memo_hits) == (b.nodes, len(b.memo), b.memo_hits)
+
+
+def test_solver_query_matches_concrete_replies(rng, connected_le7):
+    """move and reply make the same value calls, in the same order, as the
+    _concrete_replies callers did: values, principal lines, nodes, memo
+    sizes, optimal replies and solver-backed matches are identical.  The
+    line no longer re-probes the chosen vertex, so its hits can only drop."""
+    graphs = [random_graph(rng, rng.randint(1, 9)) for _ in range(60)]
+    graphs += connected_le7[::25]
+    graphs += [complete_expansion(make_named("C", 5), (2, 2, 1, 1, 1)),
+               independent_expansion(make_named("C", 6), (2, 1, 2, 1, 1, 1)),
+               make_named("Petersen")]
+    wins = losses = fewer_hits = 0
+    for g in graphs:
+        for k in range(1, 5):
+            for canon in ("classes", "twins"):
+                new = GameSolver(g, k, canon=canon)
+                old = GameSolver(g, k, canon=canon)
+                win = new.value(())
+                assert win == old.value(()), (g.edges(), k, canon)
+                line = _principal_line(new)
+                assert line == _replies_principal_line(old), (g.edges(), k, canon)
+                assert (new.nodes, len(new.memo)) == (old.nodes, len(old.memo))
+                assert new.memo_hits <= old.memo_hits
+                fewer_hits += new.memo_hits < old.memo_hits
+                assert ann_wins(g, k, canon=canon) == SolveResult(
+                    k, win, line, new.nodes, new.memo_hits)
+                wins += win
+                losses += not win
+                new.memo_hits = old.memo_hits = 0
+                state = GameState(g, k)
+                for v, c in line + ((None, None),):
+                    for u in state.uncolored():
+                        state.pending = u
+                        if legal_colors(state, u):
+                            assert ben_best_reply(state, new) == \
+                                _replies_ben_best_reply(state, old), (g.edges(), k, u)
+                        else:
+                            with pytest.raises(NoLegalColor):
+                                ben_best_reply(state, new)
+                        state.pending = None
+                        assert _same_counts(new, old)
+                    if v is not None:
+                        state.colors[v] = c
+                if win:
+                    strat = strat_solver_backed(g, k, canon=canon)
+                    ref = _RepliesSolverStrategy(GameSolver(g, k, canon=canon))
+                    ref.solver.value(())
+                    ben = _RepliesBen(GameSolver(g, k, canon=canon))
+                    assert play_match(g, k, strat, canon=canon) == \
+                        play_match(g, k, ref, ben), (g.edges(), k, canon)
+                    assert _same_counts(strat.solver, ref.solver)
+    assert wins >= 300 and losses >= 300
+    assert fewer_hits >= 500

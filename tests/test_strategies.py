@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from indicated.detect import is_family_free
@@ -7,7 +10,14 @@ from indicated.errors import (
     NotWinnable,
     StrategyInvariantViolation,
 )
-from indicated.game import GameState, ann_wins, chi_exact, play_match
+from indicated.game import (
+    GameState,
+    OptimalBen,
+    ann_wins,
+    chi_exact,
+    legal_colors,
+    play_match,
+)
 from indicated.graphs import (
     Graph,
     complete_expansion,
@@ -19,6 +29,7 @@ from indicated.graphs import (
 )
 from indicated.strategies import (
     STRATEGY_REGISTRY,
+    Strategy,
     strat_components,
     strat_cycle_expansion,
     strat_degeneracy,
@@ -90,6 +101,97 @@ def test_kc6_strategy():
         strat_kc6(C5, 3)
     with pytest.raises(BoundViolated):
         strat_kc6(C6, 1)
+
+
+class _StagedKC6Strategy(Strategy):
+    """The complete-C6-expansion plan as a stateful policy that advanced a
+    stage counter and kept an inspection log on each reply."""
+
+    name = "kc6"
+
+    def __init__(self, g, k, modules):
+        self.g = g
+        self.k = k
+        self.modules = modules
+        self.inspection = []
+        self._stage = 0    # 0: m0+m1, 1: m2, 2: m5, 3: m3 scan, 4: m4, 5: m3 rest
+
+    def _uncolored(self, state, idx):
+        return [v for v in self.modules[idx] if not state.colors[v]]
+
+    def _avail(self, state, idx):
+        taken = set()
+        for j in (idx - 1, idx, idx + 1):
+            for v in self.modules[j % 6]:
+                if state.colors[v]:
+                    taken.add(state.colors[v])
+        return set(range(1, self.k + 1)) - taken
+
+    def next_vertex(self, state):
+        plan = [sorted(self.modules[0] + self.modules[1]), self.modules[2],
+                self.modules[5]]
+        for stage in range(3):
+            if self._stage == stage:
+                todo = [v for v in plan[stage] if not state.colors[v]]
+                if todo:
+                    return todo[0]
+                self._stage = stage + 1
+        if self._stage == 3:
+            m3_left = self._uncolored(state, 3)
+            m4_left = self._uncolored(state, 4)
+            if m3_left and len(self._avail(state, 4)) > len(m4_left):
+                return m3_left[0]
+            self._stage = 4
+        if self._stage == 4:
+            m4_left = self._uncolored(state, 4)
+            if len(self._avail(state, 4)) < len(m4_left):
+                raise StrategyInvariantViolation(
+                    "fewer colors than uncolored vertices in the deferred module")
+            if m4_left:
+                return m4_left[0]
+            self._stage = 5
+        m3_left = self._uncolored(state, 3)
+        if m3_left:
+            return m3_left[0]
+        raise StrategyInvariantViolation("no vertex left to present")
+
+    def notify(self, state):
+        # stronger quantity kept for inspection only: colors still open for
+        # the opposite pair, against its remaining demand
+        a34 = self._avail(state, 3) | self._avail(state, 4)
+        demand = len(self._uncolored(state, 3)) + len(self._uncolored(state, 4))
+        self.inspection.append((len(a34), demand))
+
+
+class _RandomBen:
+    """A seeded adversary that plays a uniformly random legal color."""
+
+    def __init__(self, seed):
+        self.rng = random.Random(seed)
+
+    def reply(self, state):
+        return self.rng.choice(sorted(legal_colors(state, state.pending)))
+
+
+def test_kc6_policy_matches_staged_strategy():
+    """Deriving the stage from the position presents the same vertices as
+    the stage counter did, against the optimal adversary and against
+    seeded random legal ones, on the criterion-04 grid."""
+    plays = 0
+    for m in itertools.product((1, 2), repeat=6):
+        g = complete_expansion(C6, m)
+        omega = max(m[i] + m[(i + 1) % 6] for i in range(6))
+        for k in (omega, omega + 1, omega + 2):
+            optimal = OptimalBen(g, k)
+            bens = [lambda: optimal] + [lambda s=s: _RandomBen(s) for s in range(5)]
+            for make_ben in bens:
+                policy = strat_kc6(g, k)
+                staged = _StagedKC6Strategy(g, k, policy.modules)
+                res = play_match(g, k, policy, make_ben())
+                assert res.ann_won, (m, k)
+                assert res == play_match(g, k, staged, make_ben()), (m, k)
+                plays += 1
+    assert plays == 1152
 
 
 def test_kc5_strategy_both_branches():
