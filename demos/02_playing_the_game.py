@@ -38,11 +38,12 @@ from indicated.strategies import Strategy
 
 
 class DiagonalFirst(Strategy):
-    def __init__(self):
-        self.order = [0, 2, 1, 3]
+    """A position policy: the first uncolored vertex of a fixed order."""
+
+    order = (0, 2, 1, 3)
 
     def next_vertex(self, state):
-        return self.order.pop(0)
+        return next(v for v in self.order if not state.colors[v])
 
 
 c4 = make_named("C", 4)

@@ -4,7 +4,8 @@ adversary.
 A win against the optimal colorist is a proof that the strategy wins
 against every colorist, so these playouts certify the catalog on each
 instance.  The pacing strategies carry runtime assertions (the counter
-ledger) that re-check their correctness argument at every ply.
+ledger) that re-check their correctness argument as they present, and
+play_match rejects any reply that is not a legal color.
 """
 
 from indicated.game import chi_exact, play_match
@@ -34,6 +35,7 @@ c6 = make_named("C", 6)
 def show(label, g, k, strat):
     match = play_match(g, k, strat, solve_limit=16)
     print(f"{label:34s} k={k}  {match.outcome}  moves={list(match.moves)}")
+    return match
 
 
 # Reverse elimination order wins whenever k reaches the coloring number.
@@ -51,11 +53,17 @@ g = complete_expansion(c6, (2, 2, 1, 1, 1, 1))
 show("K[C6](2,2,1,1,1,1)", g, 4, strat_kc6(g, 4))
 
 # Complete expansion of C5: the ledger branch paces the scan module by the
-# stopping conditions; its counters are asserted at every ply.
+# stopping conditions; its counters are asserted at every presentation.
+# The stop rule shows at the first vertex presented outside m0 and m2:
+# case 1 if m2 was done by then, else case 2 if it lies in m1, else case 3.
 g = complete_expansion(c5, (2, 2, 2, 2, 2))
 strat = strat_kc5(g, 5)
-show("K[C5](2,2,2,2,2) ledger branch", g, 5, strat)
-print("  stopping case reached:", strat._case)
+match = show("K[C5](2,2,2,2,2) ledger branch", g, 5, strat)
+m1, m2 = set(strat.modules[1]), set(strat.modules[2])
+order = [v for v, _ in match.moves]
+first = next(i for i, v in enumerate(order) if v not in set(strat.modules[0]) | m2)
+case = 1 if m2 <= set(order[:first]) else 2 if order[first] in m1 else 3
+print("  stopping case reached:", case)
 
 # Layered class around an induced C5: hub first, then the blocks over
 # restricted palettes.

@@ -19,7 +19,7 @@ from .detect import (
     is_family_free,
     is_split,
 )
-from .errors import GraphGameError, NotApplicable
+from .errors import BadParam, GraphGameError, NotApplicable
 from .game import (
     DEFAULT_SOLVE_LIMIT,
     chi_exact,
@@ -291,33 +291,45 @@ def cmd_verify_class(args):
 
 class _ScriptedSelector:
     """Fixed presentation order ("scripted:0,2,...") for reproducing
-    walk-throughs."""
+    walk-throughs: the first uncolored vertex of the order."""
 
     name = "scripted"
 
     def __init__(self, order):
-        self.order = list(order)
+        self.order = order
 
     def next_vertex(self, state):
-        while self.order and state.colors[self.order[0]]:
-            self.order.pop(0)
-        if not self.order:
-            raise GraphGameError("scripted selector ran out of vertices")
-        return self.order.pop(0)
+        for v in self.order:
+            if not state.colors[v]:
+                return v
+        raise GraphGameError("scripted selector ran out of vertices")
+
+
+def _int_list(text, what):
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise BadParam(f"{what} {text!r} is not a comma-separated list of "
+                       f"integers") from None
+
 
 def cmd_play(args):
     registry = _strategy_registry()
     try:
         g = parse_graph_spec(args.input)
-        if args.strategy.startswith("scripted:"):
-            order = [int(v) for v in args.strategy.split(":", 1)[1].split(",")]
+        name, sep, order = args.strategy.partition(":")
+        if name == "scripted" and sep:
+            order = _int_list(order, "scripted order")
+            if bad := [v for v in order if not 0 <= v < g.n]:
+                raise BadParam(f"scripted order names vertex {bad[0]} "
+                               f"outside 0..{g.n - 1}")
             strat = _ScriptedSelector(order)
         else:
             factory = registry[args.strategy]
             strat = factory(g, args.k)
         ben = "optimal"
         if args.ben == "script":
-            ben = [int(c) for c in args.script.split(",")] if args.script else []
+            ben = _int_list(args.script, "--script") if args.script else []
         match = play_match(g, args.k, strat, ben, solve_limit=args.limit,
                            node_budget=args.budget)
     except KeyError:

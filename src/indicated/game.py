@@ -560,7 +560,8 @@ def play_match(g, k, ann, ben="optimal", *, canon="twins",
     The optimal adversary plays one line: the least color whose child
     position the selector loses, or else the least legal color.  A won
     match therefore shows the strategy survives that line, not every
-    adversary reply.
+    adversary reply.  Any adversary's reply must be a legal color for the
+    pending vertex, else BadParam.
     """
     if ben == "optimal":
         if g.n > solve_limit:
@@ -583,12 +584,11 @@ def play_match(g, k, ann, ben="optimal", *, canon="twins",
             raise StrategyIllegalMove(f"strategy selected colored vertex {v}")
         state.pending = v
         c = ben.reply(state)
+        if not isinstance(c, int) or c not in legal_colors(state, v):
+            raise BadParam(f"adversary reply {c!r} is not a legal color for vertex {v}")
         state.pending = None
         state.colors[v] = c
         moves.append((v, c))
-        notify = getattr(ann, "notify", None)
-        if notify is not None:
-            notify(state)
 
 
 # ---------------------------------------------------------------------------

@@ -386,9 +386,7 @@ _G6_HEADER = ">>graph6<<"
 
 def parse_graph6(line):
     """Decode one graph6 line (upper triangle, column-major)."""
-    text = line.strip()
-    if text.startswith(_G6_HEADER):
-        text = text[len(_G6_HEADER):]
+    text = line.strip().removeprefix(_G6_HEADER)
     if not text:
         raise MalformedGraph6("empty graph6 line", 0)
     raw = text.encode("ascii", errors="replace")

@@ -2,9 +2,9 @@
 against the optimal adversary: that plays one adversary line, not every
 reply.
 
-A strategy is a policy: ``next_vertex(state)`` picks the vertex to present.
-An optional ``notify(state)`` observes the adversary's reply (the base
-class's is a no-op); the C5 ledger plan uses it to check its counters.
+A strategy is a policy: ``next_vertex(state)`` picks the vertex to present
+as a function of the position alone.  It keeps no record of earlier plies,
+so one strategy object can be replayed over any number of matches.
 Factories raise NotApplicable when the graph is outside the strategy's
 class and BoundViolated when the palette is below the strategy's
 guaranteed bound.
@@ -68,9 +68,6 @@ class Strategy:
     def next_vertex(self, state):
         raise NotImplementedError
 
-    def notify(self, state):
-        pass
-
 
 def _decompose_for_strategy(decomposer, g):
     """Class preconditions surface as NotApplicable at the strategy level."""
@@ -102,13 +99,15 @@ class StaticPhase:
                 return v
         raise StrategyInvariantViolation("phase already finished")
 
-    def notify(self, state):
-        pass
-
 
 class SubGamePhase:
     """Plays an induced subgraph with a lazily-built sub-strategy over a
-    virtual palette (None = the full host palette)."""
+    virtual palette (None = the full host palette).
+
+    The palette is recomputed from the position on every call; only the
+    induced graph and the sub-strategy, built for the palette's size, are
+    kept.
+    """
 
     def __init__(self, vertices, factory, palette=None, label=""):
         self.vertices = tuple(sorted(vertices))
@@ -116,68 +115,47 @@ class SubGamePhase:
         self.palette_fn = palette
         self.label = label
         self._sub = None
-        self._palette = None
-        self._graph = None
-
-    def _ensure(self, state):
-        if self._sub is not None:
-            return
-        if self.palette_fn is None:
-            self._palette = tuple(range(1, state.k + 1))
-        else:
-            self._palette = tuple(sorted(self.palette_fn(state)))
-        self._graph = induced(state.graph, self.vertices)
-        self._sub = self.factory(self._graph, len(self._palette))
-
-    def _local_state(self, state):
-        colors = []
-        for v in self.vertices:
-            c = state.colors[v]
-            if c == 0:
-                colors.append(0)
-            elif c in self._palette:
-                colors.append(self._palette.index(c) + 1)
-            else:
-                raise StructureViolation(
-                    f"{self.label or 'sub-play'}: reply color {c} outside the "
-                    f"virtual palette {self._palette}")
-        return GameState(self._graph, len(self._palette), colors)
 
     def done(self, state):
         return all(state.colors[v] for v in self.vertices)
 
     def next_vertex(self, state):
-        self._ensure(state)
-        local = self._sub.next_vertex(self._local_state(state))
-        return self.vertices[local]
-
-    def notify(self, state):
+        if self.palette_fn is None:
+            palette = tuple(range(1, state.k + 1))
+        else:
+            palette = tuple(sorted(self.palette_fn(state)))
         if self._sub is None:
-            return
-        self._sub.notify(self._local_state(state))
+            graph = induced(state.graph, self.vertices)
+            self._sub = graph, len(palette), self.factory(graph, len(palette))
+        graph, size, sub = self._sub
+        if len(palette) != size:
+            raise StrategyInvariantViolation(
+                f"{self.label or 'sub-play'}: virtual palette of {len(palette)} "
+                f"colors, but the sub-strategy was built for {size}")
+        colors = []
+        for v in self.vertices:
+            c = state.colors[v]
+            if c and c not in palette:
+                raise StructureViolation(
+                    f"{self.label or 'sub-play'}: reply color {c} outside the "
+                    f"virtual palette {palette}")
+            colors.append(palette.index(c) + 1 if c else 0)
+        local = sub.next_vertex(GameState(graph, len(palette), colors))
+        return self.vertices[local]
 
 
 class PhasedStrategy(Strategy):
-    """Runs phases to completion in order."""
+    """Plays the first phase whose vertices are not all colored."""
 
     def __init__(self, name, phases):
         self.name = name
         self.phases = list(phases)
-        self._idx = 0
-
-    def _current(self, state):
-        while self._idx < len(self.phases) and self.phases[self._idx].done(state):
-            self._idx += 1
-        if self._idx == len(self.phases):
-            raise StrategyInvariantViolation("all phases finished but game continues")
-        return self.phases[self._idx]
 
     def next_vertex(self, state):
-        return self._current(state).next_vertex(state)
-
-    def notify(self, state):
-        if self._idx < len(self.phases):
-            self.phases[self._idx].notify(state)
+        for phase in self.phases:
+            if not phase.done(state):
+                return phase.next_vertex(state)
+        raise StrategyInvariantViolation("all phases finished but game continues")
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +292,9 @@ class CounterLedger:
       two, and |C_i u C_j|-|N_i|-|N_j| equals k-|m_i|-|m_j| for adjacent
       pairs among m1..m4 — all positive when k exceeds the clique number;
     * a ply inside module t leaves |C_t|-|N_t| and every adjacent-pair
-      union quantity containing t unchanged;
-    * the reply to a module-t vertex always comes from C_t.
+      union quantity containing t unchanged, because the reply comes from
+      C_t: a vertex of m_t has exactly C_t as its legal set, and play_match
+      rejects any other reply.
 
     Violations raise StrategyInvariantViolation: they would disprove the
     plan's correctness argument, so they must surface loudly.
@@ -325,8 +304,6 @@ class CounterLedger:
         self.k = k
         self.modules = modules
         self.sizes = tuple(len(m) for m in modules)
-        self.star = None
-        self.prev = None
 
     def values(self, state):
         palette = set(range(1, self.k + 1))
@@ -367,29 +344,6 @@ class CounterLedger:
             if want <= 0:
                 raise StrategyInvariantViolation(
                     f"baseline counter {key} not positive: {want}")
-        self.star = vals
-        self.prev = vals
-
-    def check_ply(self, state, module_idx, reply_color):
-        """Constancy and membership checks after a reply in module_idx."""
-        vals = self.values(state)
-        prev = self.prev
-        self.prev = vals
-        if prev is None or module_idx == 0:
-            return
-        t = module_idx
-        if reply_color not in prev[0][t]:
-            raise StrategyInvariantViolation(
-                f"reply {reply_color} was not in the shared available set of "
-                f"module {t}")
-        if self.single(vals, t) != self.single(prev, t):
-            raise StrategyInvariantViolation(
-                f"|C|-|N| of module {t} changed on an internal ply")
-        for i, j in ((t - 1, t), (t, t + 1)):
-            if 1 <= i and j <= 4:
-                if self.union(vals, i, j) != self.union(prev, i, j):
-                    raise StrategyInvariantViolation(
-                        f"pair counter ({i},{j}) changed on a module-{t} ply")
 
 
 def strat_kc5(g, k):
@@ -420,32 +374,31 @@ def strat_kc5(g, k):
 
 
 class _KC5LedgerStrategy(Strategy):
-    name = "kc5"
+    """The ledger branch as a position policy.  m0 goes first; then m2 is
+    scanned while m1, m3 and m4 are untouched, until a stop rule fires:
+    case 1, m2 is done; case 2, m1 has no spare shared color; case 3, the
+    (3,4) pair has no slack.  Cases 1 and 2 then finish m1 (case 2 also
+    the rest of m2) and pair m3 with m4; case 3 pairs m3 with m4, then m1
+    with m2.  The stage is read off which modules are untouched, partial
+    or done."""
 
-    V1, SCAN, C1_V2, C2_V2, C2_V3REST, PAIR34, C3_PAIR34, PAIR12 = range(8)
+    name = "kc5"
 
     def __init__(self, g, k, modules):
         self.g = g
         self.k = k
         self.modules = modules
         self.ledger = CounterLedger(k, modules)
-        self._stage = self.V1
-        self._last_module = None
-        self._last_vertex = None
-        self._case = None
 
     def _uncolored(self, state, idx):
         return [v for v in self.modules[idx] if not state.colors[v]]
 
     def _present(self, state, idx):
-        todo = self._uncolored(state, idx)
         vals = self.ledger.values(state)
         if self.ledger.single(vals, idx) < 0:
             raise StrategyInvariantViolation(
                 f"module {idx} has fewer shared colors than uncolored vertices")
-        self._last_module = idx
-        self._last_vertex = todo[0]
-        return todo[0]
+        return self._uncolored(state, idx)[0]
 
     def _pair(self, state, i, j):
         vals = self.ledger.values(state)
@@ -460,55 +413,46 @@ class _KC5LedgerStrategy(Strategy):
 
     def next_vertex(self, state):
         led = self.ledger
-        if self._stage == self.V1:
-            todo = self._uncolored(state, 0)
-            if todo:
-                self._last_module = 0
-                self._last_vertex = todo[0]
-                return todo[0]
+        left = [self._uncolored(state, i) for i in range(5)]
+        if left[0]:
+            return left[0][0]
+        untouched = [len(left[i]) == len(self.modules[i]) for i in range(5)]
+        if all(untouched[1:]):
             led.check_star(state)
-            self._stage = self.SCAN
-        if self._stage == self.SCAN:
+        if untouched[1] and untouched[3] and untouched[4]:
+            # scanning m2 until a stop rule fires
             vals = led.values(state)
-            if not self._uncolored(state, 2):
-                self._case = 1
-                self._stage = self.C1_V2
-            elif led.single(vals, 1) == 0:
-                self._case = 2
-                self._stage = self.C2_V2
-            elif led.union(vals, 3, 4) == 0:
-                self._case = 3
-                self._stage = self.C3_PAIR34
-            else:
-                return self._present(state, 2)
-        if self._stage in (self.C1_V2, self.C2_V2):
-            if self._uncolored(state, 1):
+            if not left[2]:                       # case 1
                 return self._present(state, 1)
-            if self._stage == self.C1_V2:
-                self._stage = self.PAIR34
-            else:
-                self._stage = self.C2_V3REST
-        if self._stage == self.C2_V3REST:
-            if self._uncolored(state, 2):
-                return self._present(state, 2)
-            self._check_final_slack(state, 3, 4)
-            self._stage = self.PAIR34
-        if self._stage in (self.PAIR34, self.C3_PAIR34):
-            if self._uncolored(state, 3) or self._uncolored(state, 4):
+            if led.single(vals, 1) == 0:          # case 2
+                return self._present(state, 1)
+            if led.union(vals, 3, 4) == 0:        # case 3
                 return self._pair(state, 3, 4)
-            if self._stage == self.C3_PAIR34:
-                self._check_final_slack(state, 1, 2)
-                self._stage = self.PAIR12
-            else:
-                raise StrategyInvariantViolation("no vertex left to present")
-        if self._stage == self.PAIR12:
-            if self._uncolored(state, 1) or self._uncolored(state, 2):
-                return self._pair(state, 1, 2)
+            return self._present(state, 2)
+        if untouched[3] and untouched[4]:
+            if left[1]:
+                return self._present(state, 1)
+            if left[2]:
+                # Only case 2 gets here.  m1 had no spare shared color when
+                # the scan stopped, so m0, m1 and m2 now carry every color:
+                # that pins the (3,4) pair's slack at 2k-n once m2 is done.
+                on = {state.colors[v] for i in (0, 1, 2) for v in self.modules[i]}
+                if not on.issuperset(range(1, self.k + 1)):
+                    raise StrategyInvariantViolation(
+                        f"case 2: m0, m1 and m2 leave colors of 1..{self.k} unused")
+                return self._present(state, 2)
+            return self._pair(state, 3, 4)
+        if left[3] or left[4]:
+            return self._pair(state, 3, 4)
+        if left[1] or left[2]:                    # case 3's last pairing
+            self._check_final_slack(state, 1, 2)
+            return self._pair(state, 1, 2)
         raise StrategyInvariantViolation("no vertex left to present")
 
     def _check_final_slack(self, state, i, j):
-        """Entering the last pairing phase, the pair's slack must be exactly
-        2k - n: the scanned module consumed everything else."""
+        """In the last pairing phase the pair's slack must be exactly
+        2k - n: the scanned module consumed everything else, and a ply
+        inside the pair keeps it."""
         vals = self.ledger.values(state)
         want = 2 * self.k - self.g.n
         got = self.ledger.union(vals, i, j)
@@ -517,12 +461,6 @@ class _KC5LedgerStrategy(Strategy):
                 f"pair ({i},{j}) slack {got} != 2k-n = {want}")
         if want < 0:
             raise StrategyInvariantViolation(f"2k-n negative: {want}")
-
-    def notify(self, state):
-        if self._last_vertex is None or self.ledger.star is None:
-            return
-        reply = state.colors[self._last_vertex]
-        self.ledger.check_ply(state, self._last_module, reply)
 
 
 # ---------------------------------------------------------------------------

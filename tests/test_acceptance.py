@@ -84,21 +84,35 @@ def test_criterion_02_balanced_special_case():
           "ceil(5m/2) for m in {1,2,3}")
 
 
-def test_criterion_03_kc5_strategy():
-    from indicated.strategies import _KC5LedgerStrategy
+def test_criterion_03_kc5_strategy(monkeypatch):
+    from indicated.strategies import CounterLedger, _KC5LedgerStrategy
 
     t0 = time.time()
     games = ledger_games = 0
+    star_checks = []
+    check_star = CounterLedger.check_star
+
+    def spy(ledger, state):
+        m0, *rest = ledger.modules
+        star_checks.append(all(state.colors[v] for v in m0)
+                           and not any(state.colors[v] for m in rest for v in m))
+        return check_star(ledger, state)
+
+    monkeypatch.setattr(CounterLedger, "check_star", spy)
 
     def run(g, m, k):
         nonlocal ledger_games
         strat = strat_kc5(g, k)
+        star_checks.clear()
         res = play_match(g, k, strat, solve_limit=16)
         assert res.ann_won, (m, k)
         if isinstance(strat, _KC5LedgerStrategy):
-            # the baseline identities ran and per-ply checks engaged
-            assert strat.ledger.star is not None and strat.ledger.prev is not None
+            # the baseline identities ran exactly once: m0 done, the rest
+            # untouched
+            assert star_checks == [True], (m, k, star_checks)
             ledger_games += 1
+        else:
+            assert not star_checks, (m, k)
 
     for m in itertools.product((1, 2), repeat=5):
         g = complete_expansion(C5, m)

@@ -324,6 +324,20 @@ def test_play_scripted_selector_loses_c4():
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["C5", "3", "scripted:a,1"],
+    ["C5", "3", "scripted:"],
+    ["C5", "3", "scripted:0,9"],
+    ["C5", "3", "scripted:0,5"],
+    ["C5", "3", "scripted:-1"],
+    ["C4", "2", "solver", "--ben", "script", "--script", "1,x"],
+])
+def test_play_malformed_arguments_exit_2(argv):
+    code, out = run_cli(["play"] + argv)
+    assert code == 2
+    assert parse_report(out)["error"].startswith("BadParam:")
+
+
 @pytest.mark.slow
 def test_check_sandwich_full_corpus():
     from conftest import DATA

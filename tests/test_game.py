@@ -196,6 +196,26 @@ def test_play_match_scripted_ben():
         play_match(c4, 2, _Scripted([0, 1]), ben=[1, 1])
 
 
+class _ConstantBen:
+    def __init__(self, color):
+        self.color = color
+
+    def reply(self, state):
+        return self.color
+
+
+def test_play_match_rejects_illegal_replies():
+    from indicated.strategies import strat_cycle_expansion
+
+    c5 = make_named("C", 5)
+    # color 1 again on vertex 1, next to vertex 0, would be improper
+    with pytest.raises(BadParam, match="reply 1 .* vertex 1"):
+        play_match(c5, 3, strat_cycle_expansion(c5, 3), _ConstantBen(1))
+    for color in (0, 4, 9, -1, "1", 1.0, None):
+        with pytest.raises(BadParam, match="vertex 0"):
+            play_match(c5, 3, strat_cycle_expansion(c5, 3), _ConstantBen(color))
+
+
 def test_exact_oracles():
     assert chi_exact(complete_expansion(make_named("C", 5), (2, 2, 2, 2, 2))) == 5
     assert alpha_exact(make_named("C", 5)) == 2

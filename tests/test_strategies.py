@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -42,6 +43,7 @@ from indicated.strategies import (
     strat_split_c5,
     strat_split_c5_plus_clique,
     strat_union,
+    _KC5LedgerStrategy,
 )
 from indicated.structure import chi_formula_kc5
 
@@ -229,6 +231,323 @@ def test_counter_ledger_baseline_checks():
         strat.ledger.check_star(bad)
 
 
+# --- the KC5 ledger plan as a position policy ------------------------------------
+
+def _stop_case(modules, moves):
+    """The stop rule that ended the ledger plan's scan of m2, read off a
+    transcript at the first vertex presented outside m0 and m2: case 1 if
+    m2 was done by then, else case 2 if that vertex lies in m1, else 3."""
+    head = set(modules[0]) | set(modules[2])
+    order = [v for v, _ in moves]
+    first = next(i for i, v in enumerate(order) if v not in head)
+    if set(modules[2]) <= set(order[:first]):
+        return 1
+    return 2 if order[first] in modules[1] else 3
+
+
+# The ledger plan as a stateful class that advanced a stage counter and
+# checked the ledger after every reply (its notify), kept verbatim as the
+# reference for the position policy.
+
+class _ParentCounterLedger:
+    """Counters for the part-by-part plan on a complete expansion of C5.
+
+    With modules m0..m4 in cycle order (m0 presented first), tracks per
+    module the uncolored count N and the commonly-available color set C
+    (every vertex of a module has the same neighborhood outside it, so the
+    available set is shared).  The algebra the plan relies on:
+
+    * right after m0 completes (starred values): |C|-|N| equals
+      k-|m0|-|m_i| for the modules adjacent to m0, k-|m_i| for the other
+      two, and |C_i u C_j|-|N_i|-|N_j| equals k-|m_i|-|m_j| for adjacent
+      pairs among m1..m4 — all positive when k exceeds the clique number;
+    * a ply inside module t leaves |C_t|-|N_t| and every adjacent-pair
+      union quantity containing t unchanged;
+    * the reply to a module-t vertex always comes from C_t.
+
+    Violations raise StrategyInvariantViolation: they would disprove the
+    plan's correctness argument, so they must surface loudly.
+    """
+
+    def __init__(self, k, modules):
+        self.k = k
+        self.modules = modules
+        self.sizes = tuple(len(m) for m in modules)
+        self.star = None
+        self.prev = None
+
+    def values(self, state):
+        palette = set(range(1, self.k + 1))
+        colors_on = [{state.colors[v] for v in mod if state.colors[v]}
+                     for mod in self.modules]
+        uncolored = [sum(1 for v in mod if not state.colors[v])
+                     for mod in self.modules]
+        avail = [palette - (colors_on[(i - 1) % 5] | colors_on[i] | colors_on[(i + 1) % 5])
+                 for i in range(5)]
+        return avail, uncolored
+
+    def single(self, vals, i):
+        avail, unc = vals
+        return len(avail[i]) - unc[i]
+
+    def union(self, vals, i, j):
+        avail, unc = vals
+        return len(avail[i] | avail[j]) - unc[i] - unc[j]
+
+    def check_star(self, state):
+        vals = self.values(state)
+        k, s = self.k, self.sizes
+        expected = {
+            ("single", 1): k - s[0] - s[1],
+            ("single", 4): k - s[0] - s[4],
+            ("single", 2): k - s[2],
+            ("single", 3): k - s[3],
+            ("union", 1, 2): k - (s[1] + s[2]),
+            ("union", 2, 3): k - (s[2] + s[3]),
+            ("union", 3, 4): k - (s[3] + s[4]),
+        }
+        for key, want in expected.items():
+            got = self.single(vals, key[1]) if key[0] == "single" \
+                else self.union(vals, key[1], key[2])
+            if got != want:
+                raise StrategyInvariantViolation(
+                    f"baseline counter {key} = {got}, expected {want}")
+            if want <= 0:
+                raise StrategyInvariantViolation(
+                    f"baseline counter {key} not positive: {want}")
+        self.star = vals
+        self.prev = vals
+
+    def check_ply(self, state, module_idx, reply_color):
+        """Constancy and membership checks after a reply in module_idx."""
+        vals = self.values(state)
+        prev = self.prev
+        self.prev = vals
+        if prev is None or module_idx == 0:
+            return
+        t = module_idx
+        if reply_color not in prev[0][t]:
+            raise StrategyInvariantViolation(
+                f"reply {reply_color} was not in the shared available set of "
+                f"module {t}")
+        if self.single(vals, t) != self.single(prev, t):
+            raise StrategyInvariantViolation(
+                f"|C|-|N| of module {t} changed on an internal ply")
+        for i, j in ((t - 1, t), (t, t + 1)):
+            if 1 <= i and j <= 4:
+                if self.union(vals, i, j) != self.union(prev, i, j):
+                    raise StrategyInvariantViolation(
+                        f"pair counter ({i},{j}) changed on a module-{t} ply")
+
+
+
+class _ParentKC5LedgerStrategy(Strategy):
+    name = "kc5"
+
+    V1, SCAN, C1_V2, C2_V2, C2_V3REST, PAIR34, C3_PAIR34, PAIR12 = range(8)
+
+    def __init__(self, g, k, modules):
+        self.g = g
+        self.k = k
+        self.modules = modules
+        self.ledger = _ParentCounterLedger(k, modules)
+        self._stage = self.V1
+        self._last_module = None
+        self._last_vertex = None
+        self._case = None
+
+    def _uncolored(self, state, idx):
+        return [v for v in self.modules[idx] if not state.colors[v]]
+
+    def _present(self, state, idx):
+        todo = self._uncolored(state, idx)
+        vals = self.ledger.values(state)
+        if self.ledger.single(vals, idx) < 0:
+            raise StrategyInvariantViolation(
+                f"module {idx} has fewer shared colors than uncolored vertices")
+        self._last_module = idx
+        self._last_vertex = todo[0]
+        return todo[0]
+
+    def _pair(self, state, i, j):
+        vals = self.ledger.values(state)
+        left_i = self._uncolored(state, i)
+        left_j = self._uncolored(state, j)
+        side = i
+        if not left_i:
+            side = j
+        elif left_j and self.ledger.single(vals, j) < self.ledger.single(vals, i):
+            side = j
+        return self._present(state, side)
+
+    def next_vertex(self, state):
+        led = self.ledger
+        if self._stage == self.V1:
+            todo = self._uncolored(state, 0)
+            if todo:
+                self._last_module = 0
+                self._last_vertex = todo[0]
+                return todo[0]
+            led.check_star(state)
+            self._stage = self.SCAN
+        if self._stage == self.SCAN:
+            vals = led.values(state)
+            if not self._uncolored(state, 2):
+                self._case = 1
+                self._stage = self.C1_V2
+            elif led.single(vals, 1) == 0:
+                self._case = 2
+                self._stage = self.C2_V2
+            elif led.union(vals, 3, 4) == 0:
+                self._case = 3
+                self._stage = self.C3_PAIR34
+            else:
+                return self._present(state, 2)
+        if self._stage in (self.C1_V2, self.C2_V2):
+            if self._uncolored(state, 1):
+                return self._present(state, 1)
+            if self._stage == self.C1_V2:
+                self._stage = self.PAIR34
+            else:
+                self._stage = self.C2_V3REST
+        if self._stage == self.C2_V3REST:
+            if self._uncolored(state, 2):
+                return self._present(state, 2)
+            self._check_final_slack(state, 3, 4)
+            self._stage = self.PAIR34
+        if self._stage in (self.PAIR34, self.C3_PAIR34):
+            if self._uncolored(state, 3) or self._uncolored(state, 4):
+                return self._pair(state, 3, 4)
+            if self._stage == self.C3_PAIR34:
+                self._check_final_slack(state, 1, 2)
+                self._stage = self.PAIR12
+            else:
+                raise StrategyInvariantViolation("no vertex left to present")
+        if self._stage == self.PAIR12:
+            if self._uncolored(state, 1) or self._uncolored(state, 2):
+                return self._pair(state, 1, 2)
+        raise StrategyInvariantViolation("no vertex left to present")
+
+    def _check_final_slack(self, state, i, j):
+        """Entering the last pairing phase, the pair's slack must be exactly
+        2k - n: the scanned module consumed everything else."""
+        vals = self.ledger.values(state)
+        want = 2 * self.k - self.g.n
+        got = self.ledger.union(vals, i, j)
+        if got != want:
+            raise StrategyInvariantViolation(
+                f"pair ({i},{j}) slack {got} != 2k-n = {want}")
+        if want < 0:
+            raise StrategyInvariantViolation(f"2k-n negative: {want}")
+
+    def notify(self, state):
+        if self._last_vertex is None or self.ledger.star is None:
+            return
+        reply = state.colors[self._last_vertex]
+        self.ledger.check_ply(state, self._last_module, reply)
+
+
+class _OracleBen:
+    """Passes another adversary's replies through and shows each resulting
+    position to a stateful strategy's notify, so the reference ledger's
+    check_ply runs on every ply."""
+
+    def __init__(self, ben, strategy):
+        self.ben = ben
+        self.strategy = strategy
+
+    def reply(self, state):
+        c = self.ben.reply(state)
+        after = GameState(state.graph, state.k, state.colors)
+        after.colors[state.pending] = c
+        self.strategy.notify(after)
+        return c
+
+
+def test_kc5_policy_matches_ledger_strategy():
+    """Reading the stage off the position presents the same vertices as the
+    stage counter did, with the reference's per-ply ledger checks as an
+    oracle, against the optimal adversary and seeded random legal ones."""
+    plays = 0
+    cases = collections.Counter()
+
+    def compare(m, k, bens):
+        nonlocal plays
+        g = complete_expansion(C5, m)
+        policy = strat_kc5(g, k)
+        if not isinstance(policy, _KC5LedgerStrategy):
+            return
+        optimal = OptimalBen(g, k)
+        for make_ben in bens:
+            make_ben = make_ben or (lambda: optimal)
+            staged = _ParentKC5LedgerStrategy(g, k, policy.modules)
+            want = play_match(g, k, staged, _OracleBen(make_ben(), staged))
+            res = play_match(g, k, policy, make_ben())
+            assert res.ann_won and res == want, (m, k)
+            assert _stop_case(policy.modules, res.moves) == staged._case, (m, k)
+            cases[staged._case] += 1
+            plays += 1
+
+    # the criterion-03 grid, against the optimal and 5 random adversaries
+    bens = [None] + [lambda s=s: _RandomBen(s) for s in range(5)]
+    for m in itertools.product((1, 2), repeat=5):
+        chi = chi_formula_kc5(m)
+        for k in range(chi, min(chi + 2, 8) + 1):
+            compare(m, k, bens)
+    for m in itertools.product((1, 2, 3), repeat=5):
+        compare(m, chi_formula_kc5(m), bens)
+    assert plays == 624
+    # every 3-valued tuple at k = chi..chi+2, against 8 random adversaries
+    bens = [lambda s=s: _RandomBen(s) for s in range(8)]
+    for m in itertools.product((1, 2, 3), repeat=5):
+        chi = chi_formula_kc5(m)
+        for k in range(chi, chi + 3):
+            compare(m, k, bens)
+    assert plays == 624 + 1632
+    assert set(cases) == {1, 2, 3}, cases
+
+
+# --- replaying one strategy object ------------------------------------------------
+
+def _replay_instance(name):
+    """A graph of the strategy's class, its palette size and the strategy."""
+    k1, k2, p4 = make_named("K", 1), make_named("K", 2), make_named("P", 4)
+    kc6 = complete_expansion(C6, (2, 2, 1, 1, 1, 1))
+    instances = {
+        "degeneracy": (make_named("Petersen"), 4),
+        "cycle": (independent_expansion(C5, (2, 2, 1, 1, 1)), 3),
+        "kc5": (complete_expansion(C5, (2, 2, 2, 2, 2)), 5),
+        "kc6": (kc6, 4),
+        "p5k4kitebull": (join(k1, C5), 4),
+        "split-c5": (complete_expansion(C5, (2, 1, 1, 1, 1)), 3),
+        "split-c5-clique": (join(k2, C5), 5),
+        "p5c4": (join(k2, complete_expansion(C5, (2, 1, 1, 1, 1))), 5),
+        "p6c5": (union(C6, kc6), 4),
+        "solver": (C5, 3),
+    }
+    assert set(instances) == set(STRATEGY_REGISTRY)
+    if name == "union":
+        return union(C5, p4), 3, lambda: strat_union(
+            [(strat_cycle_expansion(C5, 3), C5), (strat_solver_backed(p4, 3), p4)], 3)
+    if name == "components":
+        g = union(C6, kc6)
+        return g, 4, lambda: strat_components(g, 4, strat_kc6)
+    g, k = instances[name]
+    return g, k, lambda: STRATEGY_REGISTRY[name](g, k)
+
+
+@pytest.mark.parametrize("name", sorted(STRATEGY_REGISTRY) + ["union", "components"])
+def test_strategy_object_replays(name):
+    """One strategy object played through consecutive matches gives what a
+    fresh object gives: no state carries over from an earlier game."""
+    g, k, make = _replay_instance(name)
+    strat = make()
+    for seed in range(3):
+        res = play_match(g, k, strat, _RandomBen(seed))
+        assert res.ann_won, (name, seed)
+        assert res == play_match(g, k, make(), _RandomBen(seed)), (name, seed)
+
+
 # --- composition --------------------------------------------------------------------
 
 def test_union_strategy():
@@ -398,22 +717,19 @@ def test_kc5_ledger_case_paths_forced():
     g = complete_expansion(C5, (2, 2, 2, 2, 2))
     strat = strat_kc5(g, 5)
     res = play_match(g, 5, strat, ben=_FreshFirstBen())
-    assert res.ann_won and strat._case == 2
+    assert res.ann_won and _stop_case(strat.modules, res.moves) == 2
     # color reuse burns the tight pair slack instead: case 3
     strat = strat_kc5(g, 5)
     res = play_match(g, 5, strat, ben=_ReuseBen())
-    assert res.ann_won and strat._case == 3
+    assert res.ann_won and _stop_case(strat.modules, res.moves) == 3
     # with a singleton first module the scan finishes first: case 1
     g = complete_expansion(C5, (1, 2, 2, 2, 2))
     strat = strat_kc5(g, 5)
     res = play_match(g, 5, strat, ben=_FreshFirstBen())
-    assert res.ann_won and strat._case == 1
+    assert res.ann_won and _stop_case(strat.modules, res.moves) == 1
 
 
 def test_kc5_ledger_case3_reached_by_optimal_ben():
-    import itertools
-    from indicated.strategies import _KC5LedgerStrategy
-
     seen = set()
     for m in itertools.product((1, 2, 3), repeat=5):
         g = complete_expansion(C5, m)
@@ -423,7 +739,7 @@ def test_kc5_ledger_case3_reached_by_optimal_ben():
             continue
         res = play_match(g, k, strat, solve_limit=16)
         assert res.ann_won
-        seen.add(strat._case)
+        seen.add(_stop_case(strat.modules, res.moves))
         if seen == {1, 3}:
             break
     assert 3 in seen
