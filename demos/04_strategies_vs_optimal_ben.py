@@ -1,11 +1,13 @@
-"""Every constructive strategy, certified by play against the exact
-adversary.
+"""Every constructive strategy, played against the exact adversary.
 
-A win against the optimal colorist is a proof that the strategy wins
-against every colorist, so these playouts certify the catalog on each
-instance.  The pacing strategies carry runtime assertions (the counter
-ledger) that re-check their correctness argument as they present, and
-play_match rejects any reply that is not a legal color.
+Each playout is one match: the optimal colorist answers every presented
+vertex with the least color that refutes the selector's position, or else
+the least legal color.  That is one line of the game, not every colorist
+reply, so a win here shows the strategy survives that line on the instance;
+checking every reply is item 5 of ROADMAP.md.  The pacing strategies carry
+runtime assertions (the counter ledger) that re-check their correctness
+argument as they present, and play_match rejects any reply that is not a
+legal color.
 """
 
 from indicated.game import chi_exact, play_match

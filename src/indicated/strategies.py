@@ -39,6 +39,7 @@ from .structure import (
     dihedral_orders,
     family_p6c5_house_claw,
     recognize_expansion,
+    twin_cycle,
 )
 
 __all__ = [
@@ -196,16 +197,18 @@ class _SolverStrategy(Strategy):
 
 def strat_cycle_expansion(g, k):
     """Winning plan for independent expansions of a cycle: one
-    representative per module around the cycle, then everything else."""
+    representative per module around the cycle, then everything else.
+
+    The cycle length is read off the open-twin quotient: an independent
+    expansion of C_n is C_n there for n != 4 and K2 for n = 4.
+    """
+    classes, cyc = twin_cycle(g, closed=False)
+    n = 4 if len(classes) <= 2 else len(classes)
     structure = None
-    for n in range(3, g.n + 1):
-        structure = recognize_expansion(g, make_named("C", n),
-                                        allowed=("independent",))
-        if structure is not None:
-            break
+    if len(classes) <= 2 or (cyc is not None and n <= 8):
+        structure = recognize_expansion(g, make_named("C", n), allowed=("independent",))
     if structure is None:
         raise NotApplicable("not an independent expansion of a cycle")
-    n = structure.base.n
     chi = 2 if n % 2 == 0 else 3
     if k < chi:
         raise BoundViolated(f"need k >= {chi}, got {k}")

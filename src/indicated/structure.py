@@ -96,6 +96,14 @@ def _is_independent(g, xs):
     return all(g.adj[x] & m == 0 for x in xs)
 
 
+_KIND_TESTS = {
+    "complete": _is_clique,
+    "independent": _is_independent,
+    "split": lambda g, xs: is_split(induced(g, xs)) is not None,
+    "arbitrary": lambda g, xs: True,
+}
+
+
 # ---------------------------------------------------------------------------
 # expansion recognition
 # ---------------------------------------------------------------------------
@@ -145,13 +153,7 @@ class ExpansionStructure:
                 elif not _empty_between(g, self.modules[i], self.modules[j]):
                     raise StructureViolation(f"[M{i},M{j}] not empty")
         for i, kind in enumerate(self.kinds):
-            sub_ok = {
-                "complete": _is_clique(g, self.modules[i]),
-                "independent": _is_independent(g, self.modules[i]),
-                "split": is_split(induced(g, self.modules[i])) is not None,
-                "arbitrary": True,
-            }[kind]
-            if not sub_ok:
+            if not _KIND_TESTS[kind](g, self.modules[i]):
                 raise StructureViolation(f"module {i} is not {kind}")
         return self
 
@@ -205,28 +207,45 @@ def _induced_cycles(g, n):
 
 
 def _kind_label(g, module, allowed):
-    sub_clique = _is_clique(g, module)
-    sub_ind = _is_independent(g, module)
     for kind in allowed:
-        if kind == "complete" and sub_clique:
-            return kind
-        if kind == "independent" and sub_ind:
-            return kind
-        if kind == "split" and is_split(induced(g, module)) is not None:
-            return kind
-        if kind == "arbitrary":
+        if _KIND_TESTS[kind](g, module):
             return kind
     return None
+
+
+def twin_cycle(g, closed):
+    """The classes of vertices with equal closed (closed=True) or open
+    neighborhoods, as sorted tuples ordered by least id, and the class
+    indices in cycle order when the quotient graph is a cycle (else None).
+
+    Twin classes are modules, so the quotient is well defined: closed twins
+    are adjacent, open twins are not.
+    """
+    groups = {}
+    for v in range(g.n):
+        groups.setdefault(g.adj[v] | (closed << v), []).append(v)
+    classes = [tuple(c) for c in groups.values()]
+    masks = [mask_of(c) for c in classes]
+    edges = [(i, j) for i, c in enumerate(classes) for j in range(i + 1, len(classes))
+             if g.adj[c[0]] & masks[j]]
+    return classes, _cycle_order(Graph(len(classes), edges))
 
 
 def recognize_expansion(g, base, allowed=("complete", "independent")):
     """Recognize g as an expansion of the cycle `base` whose modules all fall
     under the allowed kinds; None if no such partition exists.
 
-    Seeds on induced base-length cycles in lexicographic order, assigns the
-    remaining vertices to cycle positions by their adjacency pattern against
-    the seed (backtracking over the rare ambiguous cases), and canonicalizes
-    the module order over all rotations/reflections by least contained id.
+    For allowed == ("complete",) or ("independent",) and n >= 5, the modules
+    of any such expansion are exactly the classes of equal closed (complete)
+    or open (independent) neighborhoods, so they are read off the twin
+    quotient, which must be C_n.  (An independent expansion of C4 is complete
+    bipartite and quotients to K2, so n <= 4 keeps the search.)  Every other
+    case seeds on induced base-length cycles in lexicographic order, assigns
+    the remaining vertices to cycle positions by their adjacency pattern
+    against the seed (backtracking over the rare ambiguous cases) and labels
+    each module with the first allowed kind it satisfies.  Both paths
+    canonicalize the module order over all rotations/reflections by least
+    contained id and validate the structure before returning it.
     """
     order = _cycle_order(base)
     if order is None or base.n > 8:
@@ -234,6 +253,15 @@ def recognize_expansion(g, base, allowed=("complete", "independent")):
     n = base.n
     if g.n < n:
         return None
+    if n >= 5 and tuple(allowed) in (("complete",), ("independent",)):
+        classes, cyc = twin_cycle(g, allowed[0] == "complete")
+        if cyc is None or len(cyc) != n:
+            return None
+        modules, kinds = _canonical_rotation([classes[i] for i in cyc], list(allowed) * n, n)
+        try:
+            return ExpansionStructure(g, base, tuple(modules), tuple(kinds)).validate()
+        except StructureViolation:
+            return None
     only_complete = set(allowed) == {"complete"}
     only_independent = set(allowed) == {"independent"}
 

@@ -45,7 +45,7 @@ from indicated.strategies import (
     strat_union,
     _KC5LedgerStrategy,
 )
-from indicated.structure import chi_formula_kc5
+from indicated.structure import chi_formula_kc5, family_p5k4kitebull
 
 from builders import build_split_c5_instance, random_graph
 
@@ -81,6 +81,23 @@ def test_cycle_expansion_strategy():
         strat_cycle_expansion(C5, 2)
     with pytest.raises(NotApplicable):
         strat_cycle_expansion(make_named("K", 4), 4)
+
+
+def test_cycle_expansion_not_applicable_beyond_c8():
+    """Graphs on nine or more vertices that are no expansion of C3..C8 are
+    outside the class, not a bad parameter."""
+    for g in (make_named("P", 9), make_named("C", 9),
+              independent_expansion(make_named("C", 9), (2,) + (1,) * 8)):
+        with pytest.raises(NotApplicable):
+            strat_cycle_expansion(g, 3)
+    # a wheel W5 whose hub also sees a 9-vertex P5-free bipartite block: the
+    # block's sub-game falls back from the cycle plan to the solver
+    edges = [(i, (i + 1) % 5) for i in range(5)]
+    edges += [(5, v) for v in range(15) if v != 5]
+    edges += [(x, y) for i, x in enumerate(range(6, 10)) for y in range(10, 12 + i)]
+    g = Graph(15, edges)
+    assert is_family_free(g, family_p5k4kitebull())[0]
+    win(g, 4, strat_p5k4kitebull(g, 4))
 
 
 def test_solver_backed_strategy():

@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import pytest
@@ -5,8 +6,10 @@ import pytest
 from indicated.detect import is_family_free
 from indicated.errors import (
     BadParam,
+    BoundViolated,
     Disconnected,
     NoInducedC5,
+    NotApplicable,
     NotInClass,
     StructureViolation,
 )
@@ -20,8 +23,13 @@ from indicated.graphs import (
     make_named,
     union,
 )
+from indicated.strategies import PhasedStrategy, StaticPhase, strat_cycle_expansion
 from indicated.structure import (
+    ExpansionStructure,
+    _canonical_rotation,
+    _cycle_order,
     _induced_cycles,
+    _kind_label,
     chi_formula_kc5,
     chi_p5k4kitebull,
     decompose_p5c4,
@@ -117,6 +125,180 @@ def test_induced_cycles_match_per_bit_search(rng):
             assert cycles == _per_bit_induced_cycles(g, n), (g.edges(), n)
             found[n] += len(cycles)
     assert min(found.values()) >= 4, found
+
+
+def _seeded_recognize_expansion(g, base, allowed=("complete", "independent")):
+    """recognize_expansion before the twin-quotient path: the cycle-seeded
+    search for every kind and length."""
+    order = _cycle_order(base)
+    if order is None or base.n > 8:
+        raise BadParam("base must be a cycle on 3..8 vertices")
+    n = base.n
+    if g.n < n:
+        return None
+    only_complete = set(allowed) == {"complete"}
+    only_independent = set(allowed) == {"independent"}
+
+    for seed in _induced_cycles(g, n):
+        assignment = _seeded_assign_to_cycle(g, seed, n, only_complete, only_independent)
+        if assignment is None:
+            continue
+        modules = [[] for _ in range(n)]
+        for v, pos in enumerate(assignment):
+            modules[pos].append(v)
+        kinds = [None] * n
+        ok = True
+        for i in range(n):
+            modules[i].sort()
+            kinds[i] = _kind_label(g, modules[i], allowed)
+            if kinds[i] is None:
+                ok = False
+                break
+        if not ok:
+            continue
+        modules, kinds = _canonical_rotation(modules, kinds, n)
+        structure = ExpansionStructure(g, base, tuple(tuple(m) for m in modules),
+                                       tuple(kinds))
+        try:
+            structure.validate()
+        except StructureViolation:
+            continue
+        return structure
+    return None
+
+
+def _seeded_assign_to_cycle(g, seed, n, only_complete, only_independent):
+    """Map every vertex to a cycle position consistent with the seed, or
+    None.  seed[i] anchors position i."""
+    pos = [-1] * g.n
+    for i, v in enumerate(seed):
+        pos[v] = i
+    rest = [v for v in range(g.n) if pos[v] == -1]
+
+    def candidates(v):
+        row = g.adj[v]
+        cands = []
+        for p in range(n):
+            ok = True
+            for q in range(n):
+                has = bool(row & (1 << seed[q]))
+                if q == p:
+                    if only_complete and not has:
+                        ok = False
+                    if only_independent and has:
+                        ok = False
+                elif (q - p) % n in (1, n - 1):
+                    ok = ok and has
+                else:
+                    ok = ok and not has
+                if not ok:
+                    break
+            if ok:
+                cands.append(p)
+        return cands
+
+    def consistent(v, p, placed):
+        row = g.adj[v]
+        for u in placed:
+            q = pos[u]
+            has = bool(row & (1 << u))
+            if q == p:
+                if only_complete and not has:
+                    return False
+                if only_independent and has:
+                    return False
+            elif (q - p) % n in (1, n - 1):
+                if not has:
+                    return False
+            elif has:
+                return False
+        return True
+
+    placed = []
+
+    def assign(idx):
+        if idx == len(rest):
+            return True
+        v = rest[idx]
+        for p in candidates(v):
+            if consistent(v, p, placed):
+                pos[v] = p
+                placed.append(v)
+                if assign(idx + 1):
+                    return True
+                placed.pop()
+                pos[v] = -1
+        return False
+
+    if assign(0):
+        return pos
+    return None
+
+
+def _seeded_strat_cycle_expansion(g, k):
+    """Winning plan for independent expansions of a cycle: one
+    representative per module around the cycle, then everything else."""
+    structure = None
+    for n in range(3, g.n + 1):
+        structure = _seeded_recognize_expansion(g, make_named("C", n),
+                                                allowed=("independent",))
+        if structure is not None:
+            break
+    if structure is None:
+        raise NotApplicable("not an independent expansion of a cycle")
+    n = structure.base.n
+    chi = 2 if n % 2 == 0 else 3
+    if k < chi:
+        raise BoundViolated(f"need k >= {chi}, got {k}")
+    reps = [mod[0] for mod in structure.modules]
+    rest = sorted(v for mod in structure.modules for v in mod[1:])
+    return PhasedStrategy("cycle-expansion", [StaticPhase(reps), StaticPhase(rest)])
+
+
+def _relabel(g, perm):
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def test_twin_quotient_matches_seeded_search(rng):
+    """The twin-quotient path gives the structures of the cycle-seeded
+    search, and strat_cycle_expansion the phases of its length-by-length
+    loop (or NotApplicable where that loop ran into the C3..C8 limit of
+    recognize_expansion and raised BadParam)."""
+    graphs = []
+    for _ in range(120):
+        n = rng.randint(3, 8)
+        build = rng.choice((complete_expansion, independent_expansion))
+        g = build(make_named("C", n), [rng.randint(1, 3) for _ in range(n)])
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        graphs.append(_relabel(g, perm))
+    graphs += [random_graph(rng, rng.randint(3, 9), p=rng.choice((0.2, 0.35, 0.5, 0.7)))
+               for _ in range(120)]
+    found = collections.Counter()
+    for g in graphs:
+        for n in range(3, 9):
+            base = make_named("C", n)
+            for kind in ("complete", "independent"):
+                new = recognize_expansion(g, base, allowed=(kind,))
+                old = _seeded_recognize_expansion(g, base, allowed=(kind,))
+                assert (new and (new.modules, new.kinds)) == \
+                    (old and (old.modules, old.kinds)), (g.edges(), n, kind)
+                if new is not None:
+                    found[kind, n >= 5, new.modules[0] == tuple(range(len(new.modules[0])))] += 1
+        try:
+            old = [p.vertices for p in _seeded_strat_cycle_expansion(g, 3).phases]
+        except (BadParam, NotApplicable) as exc:
+            old = NotApplicable if g.n >= 9 else type(exc)
+        try:
+            new = [p.vertices for p in strat_cycle_expansion(g, 3).phases]
+        except NotApplicable:
+            new = NotApplicable
+        assert new == old, g.edges()
+        found["strategy", new is NotApplicable] += 1
+    # both kinds reached the quotient path, also where the module holding
+    # vertex 0 is not a prefix of the ids, and both strategy outcomes occur
+    assert min(found[kind, True, False] for kind in ("complete", "independent")) >= 20, found
+    assert min(found["strategy", False], found["strategy", True]) >= 30, found
 
 
 def test_recognize_expansion_canonical_order():
