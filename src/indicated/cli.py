@@ -39,6 +39,7 @@ from .graphs import (
 )
 from .structure import (
     chi_formula_kc5,
+    chi_p5k4kitebull,
     decompose_p5c4,
     decompose_p5k4kitebull,
     decompose_p6c5claw,
@@ -113,7 +114,7 @@ def _c5dec_record(d):
         "V3": list(d.V3),
         "apex": d.xstar,
         "unit_expansion": d.is_unit,
-        "chi": 3 if d.is_unit else 4,
+        "chi": chi_p5k4kitebull(d),
     }
 
 

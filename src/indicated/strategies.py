@@ -39,7 +39,6 @@ from .structure import (
     dihedral_orders,
     family_p6c5_house_claw,
     recognize_expansion,
-    twin_cycle,
 )
 
 __all__ = [
@@ -199,13 +198,14 @@ def strat_cycle_expansion(g, k):
     """Winning plan for independent expansions of a cycle: one
     representative per module around the cycle, then everything else.
 
-    The cycle length is read off the open-twin quotient: an independent
-    expansion of C_n is C_n there for n != 4 and K2 for n = 4.
+    The cycle length is the number of distinct adjacency rows: an
+    independent expansion of C_n has n open-twin classes for n != 4 and 2
+    for n = 4.
     """
-    classes, cyc = twin_cycle(g, closed=False)
-    n = 4 if len(classes) <= 2 else len(classes)
+    n = len(set(g.adj))
+    n = 4 if n <= 2 else n
     structure = None
-    if len(classes) <= 2 or (cyc is not None and n <= 8):
+    if n <= 8:
         structure = recognize_expansion(g, make_named("C", n), allowed=("independent",))
     if structure is None:
         raise NotApplicable("not an independent expansion of a cycle")

@@ -100,7 +100,6 @@ _KIND_TESTS = {
     "complete": _is_clique,
     "independent": _is_independent,
     "split": lambda g, xs: is_split(induced(g, xs)) is not None,
-    "arbitrary": lambda g, xs: True,
 }
 
 
@@ -116,7 +115,7 @@ class ExpansionStructure:
     graph: Graph
     base: Graph
     modules: tuple   # sorted vertex tuples, in cycle order
-    kinds: tuple     # "complete" | "independent" | "split" | "arbitrary"
+    kinds: tuple     # "complete" | "independent" | "split"
 
     @property
     def sizes(self):
@@ -144,10 +143,7 @@ class ExpansionStructure:
             raise StructureViolation("modules do not partition V")
         for i in range(n):
             for j in range(i + 1, n):
-                adjacent = (j - i) % n in (1, n - 1) or (i - j) % n in (1, n - 1)
-                if n == 2:
-                    adjacent = True
-                if adjacent:
+                if (j - i) % n in (1, n - 1):
                     if not _complete_between(g, self.modules[i], self.modules[j]):
                         raise StructureViolation(f"[M{i},M{j}] not complete")
                 elif not _empty_between(g, self.modules[i], self.modules[j]):
@@ -213,152 +209,50 @@ def _kind_label(g, module, allowed):
     return None
 
 
-def twin_cycle(g, closed):
-    """The classes of vertices with equal closed (closed=True) or open
-    neighborhoods, as sorted tuples ordered by least id, and the class
-    indices in cycle order when the quotient graph is a cycle (else None).
-
-    Twin classes are modules, so the quotient is well defined: closed twins
-    are adjacent, open twins are not.
-    """
-    groups = {}
-    for v in range(g.n):
-        groups.setdefault(g.adj[v] | (closed << v), []).append(v)
-    classes = [tuple(c) for c in groups.values()]
-    masks = [mask_of(c) for c in classes]
-    edges = [(i, j) for i, c in enumerate(classes) for j in range(i + 1, len(classes))
-             if g.adj[c[0]] & masks[j]]
-    return classes, _cycle_order(Graph(len(classes), edges))
-
-
 def recognize_expansion(g, base, allowed=("complete", "independent")):
     """Recognize g as an expansion of the cycle `base` whose modules all fall
     under the allowed kinds; None if no such partition exists.
 
-    For allowed == ("complete",) or ("independent",) and n >= 5, the modules
-    of any such expansion are exactly the classes of equal closed (complete)
-    or open (independent) neighborhoods, so they are read off the twin
-    quotient, which must be C_n.  (An independent expansion of C4 is complete
-    bipartite and quotients to K2, so n <= 4 keeps the search.)  Every other
-    case seeds on induced base-length cycles in lexicographic order, assigns
-    the remaining vertices to cycle positions by their adjacency pattern
-    against the seed (backtracking over the rare ambiguous cases) and labels
-    each module with the first allowed kind it satisfies.  Both paths
-    canonicalize the module order over all rotations/reflections by least
-    contained id and validate the structure before returning it.
+    The least induced base-length cycle is the seed: each seed vertex anchors
+    its own position, and every other vertex goes to the least position p
+    whose two cycle neighbours are exactly the seed vertices it sees apart
+    from seed[p].  One seed suffices: C_n is prime for n >= 5, so a module
+    meets an induced C_n in at most one vertex unless it holds the whole
+    cycle, and complete, independent and split modules are chordal.  C3 and
+    C4 are not prime and take only ("complete",) or ("independent",).  Each
+    module is labelled with the first allowed kind it satisfies; the module
+    order is canonicalized by least contained id and the structure validated
+    before it is returned.
     """
-    order = _cycle_order(base)
-    if order is None or base.n > 8:
+    if _cycle_order(base) is None or base.n > 8:
         raise BadParam("base must be a cycle on 3..8 vertices")
     n = base.n
-    if g.n < n:
+    if n <= 4 and tuple(allowed) not in (("complete",), ("independent",)):
+        raise BadParam("C3 and C4 expansions take only complete or independent modules")
+    seed = find_induced_cycle(g, n)
+    if seed is None:
         return None
-    if n >= 5 and tuple(allowed) in (("complete",), ("independent",)):
-        classes, cyc = twin_cycle(g, allowed[0] == "complete")
-        if cyc is None or len(cyc) != n:
+    bit = [1 << v for v in seed]
+    seed_mask = sum(bit)
+    want = [bit[p - 1] | bit[(p + 1) % n] for p in range(n)]
+    modules = [[] for _ in range(n)]
+    for v in range(g.n):
+        if seed_mask >> v & 1:
+            modules[seed.index(v)].append(v)
+            continue
+        row = g.adj[v] & seed_mask
+        pos = next((p for p in range(n) if row & ~bit[p] == want[p]), None)
+        if pos is None:
             return None
-        modules, kinds = _canonical_rotation([classes[i] for i in cyc], list(allowed) * n, n)
-        try:
-            return ExpansionStructure(g, base, tuple(modules), tuple(kinds)).validate()
-        except StructureViolation:
-            return None
-    only_complete = set(allowed) == {"complete"}
-    only_independent = set(allowed) == {"independent"}
-
-    for seed in _induced_cycles(g, n):
-        assignment = _assign_to_cycle(g, seed, n, only_complete, only_independent)
-        if assignment is None:
-            continue
-        modules = [[] for _ in range(n)]
-        for v, pos in enumerate(assignment):
-            modules[pos].append(v)
-        kinds = [None] * n
-        ok = True
-        for i in range(n):
-            modules[i].sort()
-            kinds[i] = _kind_label(g, modules[i], allowed)
-            if kinds[i] is None:
-                ok = False
-                break
-        if not ok:
-            continue
-        modules, kinds = _canonical_rotation(modules, kinds, n)
-        structure = ExpansionStructure(g, base, tuple(tuple(m) for m in modules),
-                                       tuple(kinds))
-        try:
-            structure.validate()
-        except StructureViolation:
-            continue
-        return structure
-    return None
-
-
-def _assign_to_cycle(g, seed, n, only_complete, only_independent):
-    """Map every vertex to a cycle position consistent with the seed, or
-    None.  seed[i] anchors position i."""
-    pos = [-1] * g.n
-    for i, v in enumerate(seed):
-        pos[v] = i
-    rest = [v for v in range(g.n) if pos[v] == -1]
-
-    def candidates(v):
-        row = g.adj[v]
-        cands = []
-        for p in range(n):
-            ok = True
-            for q in range(n):
-                has = bool(row & (1 << seed[q]))
-                if q == p:
-                    if only_complete and not has:
-                        ok = False
-                    if only_independent and has:
-                        ok = False
-                elif (q - p) % n in (1, n - 1):
-                    ok = ok and has
-                else:
-                    ok = ok and not has
-                if not ok:
-                    break
-            if ok:
-                cands.append(p)
-        return cands
-
-    def consistent(v, p, placed):
-        row = g.adj[v]
-        for u in placed:
-            q = pos[u]
-            has = bool(row & (1 << u))
-            if q == p:
-                if only_complete and not has:
-                    return False
-                if only_independent and has:
-                    return False
-            elif (q - p) % n in (1, n - 1):
-                if not has:
-                    return False
-            elif has:
-                return False
-        return True
-
-    placed = []
-
-    def assign(idx):
-        if idx == len(rest):
-            return True
-        v = rest[idx]
-        for p in candidates(v):
-            if consistent(v, p, placed):
-                pos[v] = p
-                placed.append(v)
-                if assign(idx + 1):
-                    return True
-                placed.pop()
-                pos[v] = -1
-        return False
-
-    if assign(0):
-        return pos
-    return None
+        modules[pos].append(v)
+    kinds = [_kind_label(g, m, allowed) for m in modules]
+    if None in kinds:
+        return None
+    modules, kinds = _canonical_rotation(modules, kinds)
+    try:
+        return ExpansionStructure(g, base, tuple(map(tuple, modules)), tuple(kinds)).validate()
+    except StructureViolation:
+        return None
 
 
 def dihedral_orders(n):
@@ -370,8 +264,13 @@ def dihedral_orders(n):
             yield [base[(i + r) % n] for i in range(n)]
 
 
-def _canonical_rotation(modules, kinds, n):
-    perm = min(dihedral_orders(n), key=lambda p: tuple(modules[q][0] for q in p))
+def _canonical_rotation(modules, kinds):
+    """Modules and kinds in the cycle order that starts at the module holding
+    the least id and steps towards its lesser-id neighbour module."""
+    n = len(modules)
+    first = min(range(n), key=lambda i: modules[i][0])
+    step = 1 if modules[(first + 1) % n][0] < modules[first - 1][0] else -1
+    perm = [(first + step * i) % n for i in range(n)]
     return [modules[p] for p in perm], [kinds[p] for p in perm]
 
 

@@ -15,9 +15,12 @@ from indicated.errors import (
 )
 from indicated.game import chi_exact
 from indicated.graphs import (
+    ExpansionSpec,
     Graph,
+    PartKind,
     bits,
     complete_expansion,
+    expand,
     independent_expansion,
     join,
     make_named,
@@ -35,13 +38,19 @@ from indicated.structure import (
     decompose_p5c4,
     decompose_p5k4kitebull,
     decompose_p6c5claw,
+    dihedral_orders,
     family_p5k4kitebull,
     family_p6c5claw,
     recognize_expansion,
     sumner_classify,
 )
 
-from builders import build_c6_form_instance, build_layered_c5_instance, random_graph
+from builders import (
+    build_c6_form_instance,
+    build_layered_c5_instance,
+    build_split_c5_instance,
+    random_graph,
+)
 
 C5 = make_named("C", 5)
 C6 = make_named("C", 6)
@@ -127,9 +136,15 @@ def test_induced_cycles_match_per_bit_search(rng):
     assert min(found.values()) >= 4, found
 
 
+def _seeded_canonical_rotation(modules, kinds, n):
+    """The canonical module order as a min over all 2n dihedral orders."""
+    perm = min(dihedral_orders(n), key=lambda p: tuple(modules[q][0] for q in p))
+    return [modules[p] for p in perm], [kinds[p] for p in perm]
+
+
 def _seeded_recognize_expansion(g, base, allowed=("complete", "independent")):
-    """recognize_expansion before the twin-quotient path: the cycle-seeded
-    search for every kind and length."""
+    """recognize_expansion as a search over every induced base-length seed
+    cycle, with a backtracking assignment of the other vertices."""
     order = _cycle_order(base)
     if order is None or base.n > 8:
         raise BadParam("base must be a cycle on 3..8 vertices")
@@ -156,7 +171,7 @@ def _seeded_recognize_expansion(g, base, allowed=("complete", "independent")):
                 break
         if not ok:
             continue
-        modules, kinds = _canonical_rotation(modules, kinds, n)
+        modules, kinds = _seeded_canonical_rotation(modules, kinds, n)
         structure = ExpansionStructure(g, base, tuple(tuple(m) for m in modules),
                                        tuple(kinds))
         try:
@@ -255,36 +270,46 @@ def _seeded_strat_cycle_expansion(g, k):
     return PhasedStrategy("cycle-expansion", [StaticPhase(reps), StaticPhase(rest)])
 
 
-def _relabel(g, perm):
+def _relabelled(rng, g):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
     return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
-def test_twin_quotient_matches_seeded_search(rng):
-    """The twin-quotient path gives the structures of the cycle-seeded
-    search, and strat_cycle_expansion the phases of its length-by-length
-    loop (or NotApplicable where that loop ran into the C3..C8 limit of
-    recognize_expansion and raised BadParam)."""
+def test_recognize_expansion_matches_seeded_search(rng):
+    """The single-seed recogniser gives the structures of the search over
+    every seed: single kinds on C3..C8, split modules on C5 and the default
+    complete-or-independent pair on C5..C8.  strat_cycle_expansion gives the
+    phases of its length-by-length loop (or NotApplicable where that loop
+    ran into the C3..C8 limit of recognize_expansion and raised BadParam)."""
     graphs = []
     for _ in range(120):
         n = rng.randint(3, 8)
         build = rng.choice((complete_expansion, independent_expansion))
-        g = build(make_named("C", n), [rng.randint(1, 3) for _ in range(n)])
-        perm = list(range(g.n))
-        rng.shuffle(perm)
-        graphs.append(_relabel(g, perm))
+        graphs.append(_relabelled(rng, build(make_named("C", n),
+                                             [rng.randint(1, 3) for _ in range(n)])))
+    for _ in range(60):
+        n = rng.randint(5, 8)
+        spec = ExpansionSpec(make_named("C", n), tuple(rng.randint(1, 3) for _ in range(n)),
+                             tuple(rng.choice(list(PartKind)) for _ in range(n)))
+        graphs.append(_relabelled(rng, expand(spec)))
+    graphs += [_relabelled(rng, build_split_c5_instance(rng)) for _ in range(40)]
     graphs += [random_graph(rng, rng.randint(3, 9), p=rng.choice((0.2, 0.35, 0.5, 0.7)))
                for _ in range(120)]
+    calls = [(n, (kind,)) for n in range(3, 9) for kind in ("complete", "independent")]
+    calls += [(5, ("split",))] + [(n, ("complete", "independent")) for n in range(5, 9)]
     found = collections.Counter()
     for g in graphs:
-        for n in range(3, 9):
+        for n, allowed in calls:
             base = make_named("C", n)
-            for kind in ("complete", "independent"):
-                new = recognize_expansion(g, base, allowed=(kind,))
-                old = _seeded_recognize_expansion(g, base, allowed=(kind,))
-                assert (new and (new.modules, new.kinds)) == \
-                    (old and (old.modules, old.kinds)), (g.edges(), n, kind)
-                if new is not None:
-                    found[kind, n >= 5, new.modules[0] == tuple(range(len(new.modules[0])))] += 1
+            new = recognize_expansion(g, base, allowed=allowed)
+            old = _seeded_recognize_expansion(g, base, allowed=allowed)
+            assert (new and (new.modules, new.kinds)) == \
+                (old and (old.modules, old.kinds)), (g.edges(), n, allowed)
+            if new is not None:
+                found[allowed] += 1
+                found[allowed, n >= 5, new.modules[0] == tuple(range(len(new.modules[0])))] += 1
+                found["mixed"] += len(set(new.kinds)) > 1
         try:
             old = [p.vertices for p in _seeded_strat_cycle_expansion(g, 3).phases]
         except (BadParam, NotApplicable) as exc:
@@ -295,10 +320,29 @@ def test_twin_quotient_matches_seeded_search(rng):
             new = NotApplicable
         assert new == old, g.edges()
         found["strategy", new is NotApplicable] += 1
-    # both kinds reached the quotient path, also where the module holding
-    # vertex 0 is not a prefix of the ids, and both strategy outcomes occur
-    assert min(found[kind, True, False] for kind in ("complete", "independent")) >= 20, found
+    # every kind set finds structures, single kinds also on C3/C4 and on
+    # C5..C8 where the module holding vertex 0 is not a prefix of the ids;
+    # mixed kinds occur, and both strategy outcomes occur
+    for kind in ("complete", "independent"):
+        assert found[(kind,)] >= 50, found
+        assert found[(kind,), False, False] >= 10, found
+        assert found[(kind,), True, False] >= 20, found
+    assert found[("split",)] >= 50, found
+    assert found[("complete", "independent")] >= 100, found
+    assert found["mixed"] >= 50, found
     assert min(found["strategy", False], found["strategy", True]) >= 30, found
+
+
+def test_canonical_rotation_matches_dihedral_min(rng):
+    for _ in range(400):
+        n = rng.randint(3, 8)
+        vs = list(range(rng.randint(n, 3 * n)))
+        rng.shuffle(vs)
+        cuts = sorted(rng.sample(range(1, len(vs)), n - 1))
+        modules = [sorted(vs[a:b]) for a, b in zip([0] + cuts, cuts + [len(vs)])]
+        kinds = [rng.choice(("complete", "independent", "split")) for _ in range(n)]
+        assert _canonical_rotation(modules, kinds) == \
+            _seeded_canonical_rotation(modules, kinds, n), (modules, kinds)
 
 
 def test_recognize_expansion_canonical_order():
@@ -312,10 +356,16 @@ def test_recognize_expansion_bad_base():
         recognize_expansion(C5, make_named("P", 4))
     with pytest.raises(BadParam):
         recognize_expansion(make_named("C", 9), make_named("C", 9))
+    # C3 and C4 are not prime: their modules are not fixed by one seed cycle
+    for n in (3, 4):
+        base = make_named("C", n)
+        for allowed in (("split",), ("complete", "independent"), ("independent", "complete"),
+                        ("complete", "split")):
+            with pytest.raises(BadParam):
+                recognize_expansion(complete_expansion(base, (1,) * n), base, allowed=allowed)
 
 
 def test_recognize_expansion_split_modules():
-    from builders import build_split_c5_instance
     import random
 
     rng = random.Random(5)
