@@ -52,5 +52,4 @@ print("bad order on C4, k=2:", match.outcome, "blocked vertex:", match.blocked)
 
 # Denser example: the balanced complete expansion of C5 on 10 vertices.
 g = complete_expansion(c5, (2, 2, 2, 2, 2))
-print("K[C5](2,...,2): chi =", chi_exact(g), "chi_i =",
-      chi_i(g, 6, canon="twins").chi_i)
+print("K[C5](2,...,2): chi =", chi_exact(g), "chi_i =", chi_i(g, 6).chi_i)

@@ -77,16 +77,13 @@ def parse_graph_spec(text):
     return parse_graph6(text)
 
 
-def _strategy_registry():
-    reg = dict(STRATEGY_REGISTRY)
+def _bipartite_solver(g, k):
+    if is_bipartite(g) is None:
+        raise NotApplicable("graph is not bipartite")
+    return strat_solver_backed(g, k)
 
-    def bipartite_solver(g, k):
-        if is_bipartite(g) is None:
-            raise NotApplicable("graph is not bipartite")
-        return strat_solver_backed(g, k)
 
-    reg["bipartite-solver"] = bipartite_solver
-    return reg
+_STRATEGIES = {**STRATEGY_REGISTRY, "bipartite-solver": _bipartite_solver}
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +240,7 @@ def parse_krange(spec):
 
 def _verify_one(payload):
     line, class_name, krange_spec, limit, budget = payload
-    registry = _strategy_registry()
-    factory = registry[class_name]
+    factory = _STRATEGIES[class_name]
     recs = []
     try:
         g = parse_graph6(line)
@@ -264,11 +260,10 @@ def _verify_one(payload):
 
 
 def cmd_verify_class(args):
-    registry = _strategy_registry()
-    if args.strategy_class not in registry:
+    if args.strategy_class not in _STRATEGIES:
         return _error_report("verify_class",
                              f"unknown class {args.strategy_class!r}; known: "
-                             f"{sorted(registry)}"), 2
+                             f"{sorted(_STRATEGIES)}"), 2
     try:
         parse_krange(args.krange)
     except ValueError as exc:
@@ -315,7 +310,6 @@ def _int_list(text, what):
 
 
 def cmd_play(args):
-    registry = _strategy_registry()
     try:
         g = parse_graph_spec(args.input)
         name, sep, order = args.strategy.partition(":")
@@ -326,7 +320,7 @@ def cmd_play(args):
                                f"outside 0..{g.n - 1}")
             strat = _ScriptedSelector(order)
         else:
-            factory = registry[args.strategy]
+            factory = _STRATEGIES[args.strategy]
             strat = factory(g, args.k)
         ben = "optimal"
         if args.ben == "script":

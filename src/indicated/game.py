@@ -8,10 +8,10 @@ vertex has all k colors in its neighborhood (a blocked vertex).
 The solver computes the exact minimax value.  Its memo key collapses the
 k! color symmetry: a position is the unordered multiset of color classes
 (each class a vertex bit-set) — the uncolored set is the complement of
-their union.  An optional "twins" mode additionally quotients by swapping
-vertices with identical (open or closed) neighborhoods, which collapses the
-huge symmetric state spaces of expansion graphs; both modes are validated
-against a canonicalization-free reference solver.
+their union.  The key also quotients by swapping vertices with identical
+(open or closed) neighborhoods, which collapses the huge symmetric state
+spaces of expansion graphs; it is validated against a
+canonicalization-free reference solver.
 
 Every searched position is first tried for an elimination proof, the
 argument behind chi_i <= col.  If the uncolored vertices peel one at a
@@ -147,33 +147,27 @@ def _first_blocked(adj, by_color, free):
 # ---------------------------------------------------------------------------
 
 def twin_classes(g):
-    """Partition of V into classes closed under neighborhood-preserving
-    swaps: u,v land together when adj(u)==adj(v) or adj[u]+u == adj[v]+v,
-    transitively.  Swapping within a class is a graph automorphism."""
-    parent = list(range(g.n))
+    """Partition of V into twin classes, ordered by least vertex: u,v land
+    together when adj[u] == adj[v] (open twins) or adj[u]+u == adj[v]+v
+    (closed twins).  Swapping within a class is a graph automorphism.
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    groups = {}
-    for v in range(g.n):
-        open_key = ("o", g.adj[v])
-        closed_key = ("c", g.adj[v] | (1 << v))
-        for key in (open_key, closed_key):
-            if key in groups:
-                ra, rb = find(groups[key]), find(v)
-                if ra != rb:
-                    parent[rb] = ra
-            else:
-                groups[key] = v
-    classes = {}
-    for v in range(g.n):
-        classes.setdefault(find(v), 0)
-        classes[find(v)] |= 1 << v
-    return tuple(classes[r] for r in sorted(classes))
+    No vertex has both an open and a closed twin: if u,v are open twins
+    and v,w closed twins, then w is in N(v) = N(u), so u is in N[w] = N[v],
+    yet open twins are never adjacent.  So each class is one open group or
+    one closed group, and no two groups need merging."""
+    opened = {}
+    closed = {}
+    for v, row in enumerate(g.adj):
+        opened[row] = opened.get(row, 0) | 1 << v
+        closed[row | 1 << v] = closed.get(row | 1 << v, 0) | 1 << v
+    out = []
+    for v, row in enumerate(g.adj):
+        t = opened[row]
+        if not t & (t - 1):
+            t = closed[row | 1 << v]
+        if t & -t == 1 << v:
+            out.append(t)
+    return tuple(out)
 
 
 class _TwinProfiles(dict):
@@ -202,13 +196,12 @@ class _TwinProfiles(dict):
 class GameSolver:
     """Memoized exact minimax for one (graph, k) pair.
 
-    canon: "classes" keys states by the sorted class-mask tuple (color
-    symmetry only); "twins" further replaces each mask by its per-twin-class
-    count profile, packed into one int and cached per mask, so the key is
-    the sorted tuple of those ints.  When every twin class is a singleton
-    the profile carries no more than the mask, and twins mode runs exactly
-    as classes mode.  Ben's replies collapse fresh colors into one branch in
-    both modes, since unused colors are interchangeable.
+    A position is keyed by its color classes with each class mask replaced
+    by its per-twin-class count profile, packed into one int and cached per
+    mask, so the key is the sorted tuple of those ints.  When every twin
+    class is a singleton the profile carries no more than the mask, so the
+    key is the sorted class-mask tuple itself.  Ben's replies collapse fresh
+    colors into one branch, since unused colors are interchangeable.
 
     A position with one uncolored vertex is decided in place: the selector
     wins iff that vertex has a legal color.  Completed colorings are never
@@ -224,25 +217,19 @@ class GameSolver:
     ordering.  Values are exact either way; only the node count drops.
     """
 
-    def __init__(self, g, k, canon="classes", node_budget=None):
+    def __init__(self, g, k, node_budget=None):
         if k < 1:
             raise BadParam("palette size must be >= 1")
-        if canon not in ("classes", "twins"):
-            raise BadParam(f"unknown canonicalization {canon!r}")
         self.g = g
         self.k = k
-        self.canon = canon
         self.node_budget = node_budget
         self.memo = {}
         self.nodes = 0
         self.memo_hits = 0
         self._full = g.full_mask()
         self._deg = [row.bit_count() for row in g.adj]
-        self._twins = None
-        if canon == "twins":
-            tw = twin_classes(g)
-            if any(t.bit_count() > 1 for t in tw):
-                self._twins = _TwinProfiles(tw)
+        tw = twin_classes(g)
+        self._twins = _TwinProfiles(tw) if len(tw) < g.n else None
 
     def _key(self, classes):
         if self._twins is None:
@@ -401,15 +388,15 @@ class SolveResult:
     memo_hits: int
 
 
-def ann_wins(g, k, *, canon="classes", solve_limit=DEFAULT_SOLVE_LIMIT,
-             node_budget=None, want_line=True):
+def ann_wins(g, k, *, solve_limit=DEFAULT_SOLVE_LIMIT, node_budget=None,
+             want_line=True):
     """Exact game value for palette size k, with a deterministic principal
     line (least-id / least-color tie-breaking)."""
     if k < 1:
         raise BadParam("palette size must be >= 1")
     if g.n > solve_limit:
         raise TooLarge(f"n={g.n} exceeds solve limit {solve_limit}")
-    solver = GameSolver(g, k, canon=canon, node_budget=node_budget)
+    solver = GameSolver(g, k, node_budget=node_budget)
     win = solver.value(())
     line = _principal_line(solver) if want_line else ()
     return SolveResult(k, win, line, solver.nodes, solver.memo_hits)
@@ -473,8 +460,7 @@ class ChiIResult:
     winnable: dict = field(compare=False)
 
 
-def chi_i(g, kmax=None, *, canon="classes", solve_limit=DEFAULT_SOLVE_LIMIT,
-          node_budget=None):
+def chi_i(g, kmax=None, *, solve_limit=DEFAULT_SOLVE_LIMIT, node_budget=None):
     """Least winnable palette size plus the full per-k table for 1..kmax.
 
     Every k is solved independently: winnability is not assumed monotone,
@@ -488,8 +474,8 @@ def chi_i(g, kmax=None, *, canon="classes", solve_limit=DEFAULT_SOLVE_LIMIT,
         raise BadParam("kmax must be >= 1")
     table = {}
     for k in range(1, kmax + 1):
-        table[k] = ann_wins(g, k, canon=canon, solve_limit=solve_limit,
-                            node_budget=node_budget, want_line=False).ann_wins
+        table[k] = ann_wins(g, k, solve_limit=solve_limit, node_budget=node_budget,
+                            want_line=False).ann_wins
     for k in range(1, kmax + 1):
         if table[k]:
             return ChiIResult(k, table)
@@ -507,7 +493,7 @@ def ben_best_reply(state, solver=None):
         raise BadParam("no pending vertex")
     v = state.pending
     if solver is None:
-        solver = GameSolver(state.graph, state.k, canon="twins")
+        solver = GameSolver(state.graph, state.k)
     answer = solver.reply(state.color_class_masks(), v)
     if answer is None:
         raise NoLegalColor(f"vertex {v} is blocked")
@@ -517,8 +503,8 @@ def ben_best_reply(state, solver=None):
 class OptimalBen:
     """Exact adversary; shares one solver across the whole match."""
 
-    def __init__(self, g, k, canon="twins", node_budget=None):
-        self.solver = GameSolver(g, k, canon=canon, node_budget=node_budget)
+    def __init__(self, g, k, node_budget=None):
+        self.solver = GameSolver(g, k, node_budget=node_budget)
 
     def reply(self, state):
         return ben_best_reply(state, self.solver)
@@ -553,8 +539,8 @@ class MatchResult:
         return self.outcome == "ANN_WINS"
 
 
-def play_match(g, k, ann, ben="optimal", *, canon="twins",
-               solve_limit=DEFAULT_SOLVE_LIMIT, node_budget=None):
+def play_match(g, k, ann, ben="optimal", *, solve_limit=DEFAULT_SOLVE_LIMIT,
+               node_budget=None):
     """Run one full game; returns the transcript and outcome.
 
     The optimal adversary plays one line: the least color whose child
@@ -566,7 +552,7 @@ def play_match(g, k, ann, ben="optimal", *, canon="twins",
     if ben == "optimal":
         if g.n > solve_limit:
             raise TooLarge(f"n={g.n} exceeds solve limit {solve_limit}")
-        ben = OptimalBen(g, k, canon=canon, node_budget=node_budget)
+        ben = OptimalBen(g, k, node_budget=node_budget)
     elif isinstance(ben, (list, tuple)):
         ben = ScriptedBen(ben)
     state = GameState(g, k)
@@ -606,7 +592,6 @@ def max_clique(g):
 
     def greedy_color_order(pmask):
         """Vertices of pmask with greedy color numbers, ascending."""
-        order = []
         color_of = {}
         classes = []
         for v in bits(pmask):

@@ -58,15 +58,3 @@ def match_record(match, **fields):
         rec["blocked"] = match.blocked
     rec.update(fields)
     return rec
-
-
-def solve_record(result, **fields):
-    rec = {
-        "k": result.k,
-        "ann_wins": result.ann_wins,
-        "principal_line": [list(mv) for mv in result.principal_line],
-        "nodes": result.nodes,
-        "memo_hits": result.memo_hits,
-    }
-    rec.update(fields)
-    return rec

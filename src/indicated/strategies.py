@@ -171,11 +171,11 @@ def strat_degeneracy(g, k):
     return PhasedStrategy("degeneracy", [StaticPhase(list(reversed(res.order)))])
 
 
-def strat_solver_backed(g, k, *, solve_limit=DEFAULT_SOLVE_LIMIT, canon="twins"):
+def strat_solver_backed(g, k, *, solve_limit=DEFAULT_SOLVE_LIMIT):
     """Game-theoretically optimal play from the memoized exact solve."""
     if g.n > solve_limit:
         raise TooLarge(f"n={g.n} exceeds solve limit {solve_limit}")
-    solver = GameSolver(g, k, canon=canon)
+    solver = GameSolver(g, k)
     if not solver.value(()):
         raise NotWinnable(f"position not winnable with k={k}")
     return _SolverStrategy(solver)
@@ -241,14 +241,13 @@ def strat_kc6(g, k):
     if k < omega:
         raise BoundViolated(f"need k >= clique number {omega}, got {k}")
     mods = _rotate_modules(structure, lambda s: (-(s[0] + s[1]), s))
-    return _KC6Strategy(g, k, mods)
+    return _KC6Strategy(k, mods)
 
 
 class _KC6Strategy(Strategy):
     name = "kc6"
 
-    def __init__(self, g, k, modules):
-        self.g = g
+    def __init__(self, k, modules):
         self.k = k
         self.modules = modules
 

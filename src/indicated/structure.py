@@ -17,7 +17,7 @@ from .errors import (
     NotInClass,
     StructureViolation,
 )
-from .graphs import Graph, bits, induced, is_connected, make_named, mask_of
+from .graphs import Graph, bits, components, induced, is_connected, make_named, mask_of
 
 __all__ = [
     "ExpansionStructure",
@@ -347,8 +347,6 @@ class C5Decomposition:
 
 def _check_ic5_or_bipartite_components(g):
     """Each component must be bipartite or an independent expansion of C5."""
-    from .graphs import components
-
     base = make_named("C", 5)
     for comp in components(g):
         sub = induced(g, comp)
@@ -559,8 +557,6 @@ class ComponentTag:
 def sumner_classify(g):
     """Per-component certificates for a {P5,K3}-free graph: a 2-partition,
     or the module structure of an independent C5 expansion."""
-    from .graphs import components
-
     free, witness = is_family_free(g, family_sumner())
     if not free:
         raise NotInClass("graph is not {P5,K3}-free", witness)
@@ -619,7 +615,6 @@ class Pod:
 class P5C4Decomposition:
     graph: Graph
     chordal_part: tuple
-    elimination_order: tuple
     pods: tuple
 
     def validate(self):
@@ -694,13 +689,7 @@ def decompose_p5c4(g):
             nbhd |= {u for u in bits(g.adj[v] & ~pod_mask)}
         pods.append(Pod(pod_vs, pod, tuple(sorted(nbhd))))
         remaining = [v for v in remaining if v not in set(pod_vs)]
-    dec = P5C4Decomposition(
-        graph=g,
-        chordal_part=tuple(remaining),
-        elimination_order=is_chordal(induced(g, remaining)) or (),
-        pods=tuple(pods),
-    )
-    return dec.validate()
+    return P5C4Decomposition(g, tuple(remaining), tuple(pods)).validate()
 
 
 def _grow_kc5_pod(g, seed):

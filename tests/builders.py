@@ -10,6 +10,13 @@ def random_graph(rng, n, p=0.5):
     return Graph(n, edges)
 
 
+def relabelled(rng, g):
+    """g with its vertices randomly permuted."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
 def random_connected_graph(rng, n, p=0.5):
     while True:
         g = random_graph(rng, n, p)

@@ -51,6 +51,7 @@ from builders import (
     build_layered_c5_instance,
     random_graph,
 )
+from test_game import _ClassesKeySolver
 
 pytestmark = pytest.mark.acceptance
 
@@ -296,8 +297,8 @@ def test_criterion_12_solver_self_consistency(all_le6):
     for g in all_le6:
         for k in range(1, 5):
             ref = ann_wins_reference(g, k)
-            assert ann_wins(g, k, canon="classes", want_line=False).ann_wins == ref
-            assert ann_wins(g, k, canon="twins", want_line=False).ann_wins == ref
-    _line(12, "canonicalized solver vs reference solver",
+            assert _ClassesKeySolver(g, k).value(()) == ref
+            assert ann_wins(g, k, want_line=False).ann_wins == ref
+    _line(12, "canonicalized solvers vs reference solver",
           f"{len(all_le6)} graphs x k=1..4, bit-identical tables "
           f"(class-multiset and twin-profile keys), {time.time() - t0:.1f}s")

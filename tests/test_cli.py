@@ -360,15 +360,22 @@ def test_check_chordal_equality_full_corpus():
     assert rep["summary"]["violations"] == 0 and rep["summary"]["errors"] == 0
 
 
-def test_solve_record_roundtrip():
-    from indicated.game import ann_wins
-    from indicated.reports import solve_record
+@pytest.mark.parametrize("argv,digest", [
+    (["check", "connected_le7.g6", "sandwich"],
+     "66037cbd8d073e448543d3162f5625e437c063916787aa367e467c6cacf40aee"),
+    (["analyze", "KC5:3,3,2,2,2", "--exact"],
+     "b42bd5bc7f4af5b2434b3469011519b09c24ef98e629ce0d893c4eb711c34514"),
+    (["analyze", "Petersen", "--exact"],
+     "afa76d0eaf79a2ed66cf5a631bf9080381494f990a8203bd3340d9865f4865da"),
+], ids=["sandwich", "kc5-exact", "petersen-exact"])
+def test_golden_report_hashes(argv, digest):
+    """A change to the search keeps every canonical report byte-identical."""
+    from conftest import DATA
 
-    res = ann_wins(make_named("C", 5), 3)
-    rec = solve_record(res, graph6="Dhc")
-    text = serialize_report(make_report("solve", [rec]))
-    assert parse_report(text)["records"][0]["ann_wins"] is True
-    assert len(parse_report(text)["records"][0]["principal_line"]) == 5
+    argv = [str(DATA / a) if a.endswith(".g6") else a for a in argv]
+    code, out = run_cli(argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_analyze_more_decomposers():

@@ -29,10 +29,13 @@ from indicated.game import (
     twin_classes,
 )
 from indicated.graphs import (
+    ExpansionSpec,
     Graph,
+    PartKind,
     bits,
     complete_expansion,
     degeneracy,
+    expand,
     independent_expansion,
     join,
     make_named,
@@ -40,7 +43,7 @@ from indicated.graphs import (
 )
 from indicated.strategies import Strategy, strat_solver_backed
 
-from builders import random_graph
+from builders import random_graph, relabelled
 
 
 def test_legal_colors_examples():
@@ -108,10 +111,9 @@ def test_chi_i_examples():
     res = chi_i(make_named("C", 5), 5)
     assert res.chi_i == 3
     assert res.winnable == {1: False, 2: False, 3: True, 4: True, 5: True}
-    res = chi_i(make_named("Petersen"), 4, canon="twins")
+    res = chi_i(make_named("Petersen"), 4)
     assert res.chi_i == 3
-    res = chi_i(complete_expansion(make_named("C", 5), (2, 2, 2, 2, 2)), 6,
-                canon="twins")
+    res = chi_i(complete_expansion(make_named("C", 5), (2, 2, 2, 2, 2)), 6)
     assert res.chi_i == 5
     assert res.winnable[5] and res.winnable[6]
 
@@ -267,22 +269,100 @@ def test_twin_classes():
     assert sorted(m.bit_count() for m in classes) == [1, 1, 1, 1, 3]
 
 
+def _union_find_twin_classes(g):
+    """twin_classes as a union-find over open and closed neighborhood
+    groups, merged transitively."""
+    parent = list(range(g.n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    groups = {}
+    for v in range(g.n):
+        open_key = ("o", g.adj[v])
+        closed_key = ("c", g.adj[v] | (1 << v))
+        for key in (open_key, closed_key):
+            if key in groups:
+                ra, rb = find(groups[key]), find(v)
+                if ra != rb:
+                    parent[rb] = ra
+            else:
+                groups[key] = v
+    classes = {}
+    for v in range(g.n):
+        classes.setdefault(find(v), 0)
+        classes[find(v)] |= 1 << v
+    return tuple(classes[r] for r in sorted(classes))
+
+
+def test_twin_classes_match_union_find(rng, all_le6, connected_le7):
+    """The open-or-closed grouping gives the union-find's classes, in the
+    same order, and no vertex has both a non-trivial open and a non-trivial
+    closed twin group, so no transitive merge is ever needed."""
+    graphs = list(all_le6) + list(connected_le7)
+    graphs += [random_graph(rng, rng.randint(1, 14), p=rng.choice((0.1, 0.3, 0.5, 0.7, 0.9)))
+               for _ in range(2000)]
+    for _ in range(300):
+        base = random_graph(rng, rng.randint(1, 7), p=rng.choice((0.3, 0.5, 0.7)))
+        spec = ExpansionSpec(base, tuple(rng.randint(1, 3) for _ in range(base.n)),
+                             tuple(rng.choice(list(PartKind)) for _ in range(base.n)))
+        graphs.append(relabelled(rng, expand(spec)))
+    with_twins = 0
+    for g in graphs:
+        classes = twin_classes(g)
+        assert classes == _union_find_twin_classes(g), g.edges()
+        with_twins += len(classes) < g.n
+        for v in range(g.n):
+            opened = sum(g.adj[u] == g.adj[v] for u in range(g.n))
+            closed = sum(g.adj[u] | 1 << u == g.adj[v] | 1 << v for u in range(g.n))
+            assert opened == 1 or closed == 1, (g.edges(), v)
+    assert with_twins >= 1000
+
+
+class _ClassesKeySolver(GameSolver):
+    """Keyed by the sorted class-mask tuple alone, collapsing color symmetry
+    only (the reference for the twin-profile key)."""
+
+    def _key(self, classes):
+        return classes
+
+
 def test_solver_canonicalizations_agree(rng):
     for _ in range(40):
         g = random_graph(rng, rng.randint(1, 6))
         for k in range(1, 5):
-            a = ann_wins(g, k, canon="classes", want_line=False).ann_wins
-            b = ann_wins(g, k, canon="twins", want_line=False).ann_wins
+            a = _ClassesKeySolver(g, k).value(())
+            b = ann_wins(g, k, want_line=False).ann_wins
             c = ann_wins_reference(g, k)
             assert a == b == c
 
 
+def test_twin_key_keeps_kc5_table():
+    """On KC5:3,3,2,2,2 the twin key gives the class-multiset key's table
+    in 1,192 nodes over k = 1..8 (43,975 with the class-multiset key)."""
+    g = complete_expansion(make_named("C", 5), (3, 3, 2, 2, 2))
+    table = {}
+    nodes = ref_nodes = 0
+    for k in range(1, 9):
+        ref = _ClassesKeySolver(g, k)
+        table[k] = ref.value(())
+        res = ann_wins(g, k, want_line=False)
+        assert res.ann_wins == table[k], k
+        nodes += res.nodes
+        ref_nodes += ref.nodes
+    assert chi_i(g, 8).winnable == table
+    assert (nodes, ref_nodes) == (1192, 43975)
+
+
 class _CountTupleTwinSolver(GameSolver):
-    """Twins mode keyed by the unpacked per-class count tuples (the
-    reference for the packed, cached profile key)."""
+    """Keyed by the unpacked per-twin-class count tuples (the reference for
+    the packed, cached profile key)."""
 
     def __init__(self, g, k):
-        super().__init__(g, k, canon="twins")
+        super().__init__(g, k)
         self._tw = twin_classes(g)
 
     def _key(self, classes):
@@ -303,14 +383,14 @@ def test_twin_key_matches_count_tuple_reference(rng):
     assert sum(any(t.bit_count() > 1 for t in twin_classes(g)) for g in graphs) >= 10
     for g in graphs:
         for k in range(1, 5):
-            packed = _solve_counts(GameSolver(g, k, canon="twins"))
+            packed = _solve_counts(GameSolver(g, k))
             assert packed == _solve_counts(_CountTupleTwinSolver(g, k)), (g.edges(), k)
     petersen = make_named("Petersen")
     assert all(t.bit_count() == 1 for t in twin_classes(petersen))
     for k in range(1, 5):
-        twins = GameSolver(petersen, k, canon="twins")
+        twins = GameSolver(petersen, k)
         assert twins._twins is None
-        assert _solve_counts(twins) == _solve_counts(GameSolver(petersen, k))
+        assert _solve_counts(twins) == _solve_counts(_ClassesKeySolver(petersen, k))
 
 
 class _ParentSearchSolver(GameSolver):
@@ -441,35 +521,34 @@ def test_last_vertex_shortcut_matches_parent_search(rng):
     memo entry per node.  The peel only prunes, so the nodes and memo
     entries are a subset of the parent's, and the hits are at most the
     parent's hits on those entries."""
-    graphs = [random_graph(rng, rng.randint(1, 8)) for _ in range(25)]
+    graphs = [random_graph(rng, rng.randint(1, 8)) for _ in range(50)]
     graphs.append(complete_expansion(make_named("C", 5), (2, 2, 1, 1, 1)))
     wins = losses = fewer = 0
     for g in graphs:
         for k in range(1, 5):
-            for canon in ("classes", "twins"):
-                new = GameSolver(g, k, canon=canon)
-                old = _ParentSearchSolver(g, k, canon=canon)
-                old.memo = _HitLog()
-                win = new.value(())
-                assert win == old.value(()), (g.edges(), k)
-                assert new.nodes <= old.nodes
-                fewer += new.nodes < old.nodes
-                assert len(new.memo) == new.nodes
-                assert new.memo.items() <= old.memo.items()
-                assert new.memo_hits <= sum(key in new.memo for key in old.memo.hit_keys)
-                wins += win
-                losses += not win
-                line = ann_wins(g, k, canon=canon).principal_line
-                assert line == _parent_principal_line(old), (g.edges(), k, canon)
-                state = GameState(g, k)
-                for v, c in line + ((None, None),):
-                    for u in state.uncolored():
-                        if legal_colors(state, u):
-                            state.pending = u
-                            assert ben_best_reply(state, new) == ben_best_reply(state, old)
-                            state.pending = None
-                    if v is not None:
-                        state.colors[v] = c
+            new = GameSolver(g, k)
+            old = _ParentSearchSolver(g, k)
+            old.memo = _HitLog()
+            win = new.value(())
+            assert win == old.value(()), (g.edges(), k)
+            assert new.nodes <= old.nodes
+            fewer += new.nodes < old.nodes
+            assert len(new.memo) == new.nodes
+            assert new.memo.items() <= old.memo.items()
+            assert new.memo_hits <= sum(key in new.memo for key in old.memo.hit_keys)
+            wins += win
+            losses += not win
+            line = ann_wins(g, k).principal_line
+            assert line == _parent_principal_line(old), (g.edges(), k)
+            state = GameState(g, k)
+            for v, c in line + ((None, None),):
+                for u in state.uncolored():
+                    if legal_colors(state, u):
+                        state.pending = u
+                        assert ben_best_reply(state, new) == ben_best_reply(state, old)
+                        state.pending = None
+                if v is not None:
+                    state.colors[v] = c
     assert wins >= 50 and losses >= 50
     assert fewer >= 100
 
@@ -539,16 +618,14 @@ class _NoPeelSolver(GameSolver):
 
 def test_peel_values_match_reference_at_root(rng):
     """With the peel, root values still equal the canonicalization-free
-    reference in both canon modes."""
+    reference."""
     peeled = 0
     for _ in range(40):
         g = random_graph(rng, rng.randint(1, 8), p=rng.choice((0.3, 0.5, 0.7)))
         for k in range(1, 6):
-            ref = ann_wins_reference(g, k)
-            for canon in ("classes", "twins"):
-                solver = GameSolver(g, k, canon=canon)
-                assert solver.value(()) == ref, (g.edges(), k, canon)
-                peeled += solver.nodes < _solve_counts(_NoPeelSolver(g, k, canon=canon))[1]
+            solver = GameSolver(g, k)
+            assert solver.value(()) == ann_wins_reference(g, k), (g.edges(), k)
+            peeled += solver.nodes < _solve_counts(_NoPeelSolver(g, k))[1]
     assert peeled >= 50
 
 
@@ -580,18 +657,17 @@ def test_peel_values_match_unpeeled_search_inside(rng):
     """At interior positions the peeled search gives the unpeeled search's
     value, with no more nodes."""
     positions = 0
-    for _ in range(30):
+    for _ in range(60):
         g = random_graph(rng, rng.randint(2, 9), p=rng.choice((0.3, 0.5, 0.7)))
         for k in range(1, 6):
-            for canon in ("classes", "twins"):
-                new = GameSolver(g, k, canon=canon)
-                old = _NoPeelSolver(g, k, canon=canon)
-                for _ in range(6):
-                    state = _random_partial_coloring(rng, g, k)
-                    assert new.state_value(state) == old.state_value(state), \
-                        (g.edges(), k, canon, state.colors)
-                    positions += 1
-                assert new.nodes <= old.nodes
+            new = GameSolver(g, k)
+            old = _NoPeelSolver(g, k)
+            for _ in range(6):
+                state = _random_partial_coloring(rng, g, k)
+                assert new.state_value(state) == old.state_value(state), \
+                    (g.edges(), k, state.colors)
+                positions += 1
+            assert new.nodes <= old.nodes
     assert positions >= 1500
 
 
@@ -601,9 +677,8 @@ def test_peel_decides_root_at_coloring_number(rng):
     g = independent_expansion(make_named("C", 7), (2,) * 7)
     assert degeneracy(g).col == 5
     for k in (5, 6):
-        for canon in ("classes", "twins"):
-            solver = GameSolver(g, k, canon=canon)
-            assert solver.value(()) and (solver.nodes, len(solver.memo)) == (1, 1)
+        solver = GameSolver(g, k)
+        assert solver.value(()) and (solver.nodes, len(solver.memo)) == (1, 1)
     assert GameSolver(g, 4).value(())
     for _ in range(40):
         g = random_graph(rng, rng.randint(2, 9), p=rng.choice((0.3, 0.5, 0.7)))
@@ -685,8 +760,8 @@ def test_twin_canonicalization_agrees_on_larger_graphs(rng):
     for _ in range(120):
         g = random_graph(rng, rng.randint(7, 8), p=rng.choice((0.3, 0.5, 0.7)))
         for k in range(2, 6):
-            a = ann_wins(g, k, canon="classes", want_line=False).ann_wins
-            b = ann_wins(g, k, canon="twins", want_line=False).ann_wins
+            a = _ClassesKeySolver(g, k).value(())
+            b = ann_wins(g, k, want_line=False).ann_wins
             assert a == b, (g.edges(), k)
 
 
@@ -731,7 +806,7 @@ def test_known_instances_corroborate_engine():
     assert [ann_wins(pet, k, want_line=False).ann_wins for k in (2, 3, 4, 5)] \
         == [False, True, True, True]
     g = complete_expansion(make_named("C", 6), (2,) * 6)
-    res = chi_i(g, 6, canon="twins")
+    res = chi_i(g, 6)
     assert res.chi_i == 4
     assert res.winnable == {1: False, 2: False, 3: False,
                             4: True, 5: True, 6: True}
@@ -770,7 +845,7 @@ def _replies_ben_best_reply(state, solver=None):
     v = state.pending
     g, k = state.graph, state.k
     if solver is None:
-        solver = GameSolver(g, k, canon="twins")
+        solver = GameSolver(g, k)
     by_color = state.color_class_masks()
     replies = _concrete_replies(g, k, by_color, v)
     if not replies:
@@ -816,50 +891,47 @@ def test_solver_query_matches_concrete_replies(rng, connected_le7):
     _concrete_replies callers did: values, principal lines, nodes, memo
     sizes, optimal replies and solver-backed matches are identical.  The
     line no longer re-probes the chosen vertex, so its hits can only drop."""
-    graphs = [random_graph(rng, rng.randint(1, 9)) for _ in range(60)]
-    graphs += connected_le7[::25]
+    graphs = [random_graph(rng, rng.randint(1, 9)) for _ in range(120)]
+    graphs += connected_le7[::12]
     graphs += [complete_expansion(make_named("C", 5), (2, 2, 1, 1, 1)),
                independent_expansion(make_named("C", 6), (2, 1, 2, 1, 1, 1)),
                make_named("Petersen")]
     wins = losses = fewer_hits = 0
     for g in graphs:
         for k in range(1, 5):
-            for canon in ("classes", "twins"):
-                new = GameSolver(g, k, canon=canon)
-                old = GameSolver(g, k, canon=canon)
-                win = new.value(())
-                assert win == old.value(()), (g.edges(), k, canon)
-                line = _principal_line(new)
-                assert line == _replies_principal_line(old), (g.edges(), k, canon)
-                assert (new.nodes, len(new.memo)) == (old.nodes, len(old.memo))
-                assert new.memo_hits <= old.memo_hits
-                fewer_hits += new.memo_hits < old.memo_hits
-                assert ann_wins(g, k, canon=canon) == SolveResult(
-                    k, win, line, new.nodes, new.memo_hits)
-                wins += win
-                losses += not win
-                new.memo_hits = old.memo_hits = 0
-                state = GameState(g, k)
-                for v, c in line + ((None, None),):
-                    for u in state.uncolored():
-                        state.pending = u
-                        if legal_colors(state, u):
-                            assert ben_best_reply(state, new) == \
-                                _replies_ben_best_reply(state, old), (g.edges(), k, u)
-                        else:
-                            with pytest.raises(NoLegalColor):
-                                ben_best_reply(state, new)
-                        state.pending = None
-                        assert _same_counts(new, old)
-                    if v is not None:
-                        state.colors[v] = c
-                if win:
-                    strat = strat_solver_backed(g, k, canon=canon)
-                    ref = _RepliesSolverStrategy(GameSolver(g, k, canon=canon))
-                    ref.solver.value(())
-                    ben = _RepliesBen(GameSolver(g, k, canon=canon))
-                    assert play_match(g, k, strat, canon=canon) == \
-                        play_match(g, k, ref, ben), (g.edges(), k, canon)
-                    assert _same_counts(strat.solver, ref.solver)
+            new = GameSolver(g, k)
+            old = GameSolver(g, k)
+            win = new.value(())
+            assert win == old.value(()), (g.edges(), k)
+            line = _principal_line(new)
+            assert line == _replies_principal_line(old), (g.edges(), k)
+            assert (new.nodes, len(new.memo)) == (old.nodes, len(old.memo))
+            assert new.memo_hits <= old.memo_hits
+            fewer_hits += new.memo_hits < old.memo_hits
+            assert ann_wins(g, k) == SolveResult(k, win, line, new.nodes, new.memo_hits)
+            wins += win
+            losses += not win
+            new.memo_hits = old.memo_hits = 0
+            state = GameState(g, k)
+            for v, c in line + ((None, None),):
+                for u in state.uncolored():
+                    state.pending = u
+                    if legal_colors(state, u):
+                        assert ben_best_reply(state, new) == \
+                            _replies_ben_best_reply(state, old), (g.edges(), k, u)
+                    else:
+                        with pytest.raises(NoLegalColor):
+                            ben_best_reply(state, new)
+                    state.pending = None
+                    assert _same_counts(new, old)
+                if v is not None:
+                    state.colors[v] = c
+            if win:
+                strat = strat_solver_backed(g, k)
+                ref = _RepliesSolverStrategy(GameSolver(g, k))
+                ref.solver.value(())
+                ben = _RepliesBen(GameSolver(g, k))
+                assert play_match(g, k, strat) == play_match(g, k, ref, ben), (g.edges(), k)
+                assert _same_counts(strat.solver, ref.solver)
     assert wins >= 300 and losses >= 300
     assert fewer_hits >= 500

@@ -50,6 +50,7 @@ from builders import (
     build_layered_c5_instance,
     build_split_c5_instance,
     random_graph,
+    relabelled,
 )
 
 C5 = make_named("C", 5)
@@ -270,12 +271,6 @@ def _seeded_strat_cycle_expansion(g, k):
     return PhasedStrategy("cycle-expansion", [StaticPhase(reps), StaticPhase(rest)])
 
 
-def _relabelled(rng, g):
-    perm = list(range(g.n))
-    rng.shuffle(perm)
-    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-
-
 def test_recognize_expansion_matches_seeded_search(rng):
     """The single-seed recogniser gives the structures of the search over
     every seed: single kinds on C3..C8, split modules on C5 and the default
@@ -286,14 +281,14 @@ def test_recognize_expansion_matches_seeded_search(rng):
     for _ in range(120):
         n = rng.randint(3, 8)
         build = rng.choice((complete_expansion, independent_expansion))
-        graphs.append(_relabelled(rng, build(make_named("C", n),
-                                             [rng.randint(1, 3) for _ in range(n)])))
+        graphs.append(relabelled(rng, build(make_named("C", n),
+                                            [rng.randint(1, 3) for _ in range(n)])))
     for _ in range(60):
         n = rng.randint(5, 8)
         spec = ExpansionSpec(make_named("C", n), tuple(rng.randint(1, 3) for _ in range(n)),
                              tuple(rng.choice(list(PartKind)) for _ in range(n)))
-        graphs.append(_relabelled(rng, expand(spec)))
-    graphs += [_relabelled(rng, build_split_c5_instance(rng)) for _ in range(40)]
+        graphs.append(relabelled(rng, expand(spec)))
+    graphs += [relabelled(rng, build_split_c5_instance(rng)) for _ in range(40)]
     graphs += [random_graph(rng, rng.randint(3, 9), p=rng.choice((0.2, 0.35, 0.5, 0.7)))
                for _ in range(120)]
     calls = [(n, (kind,)) for n in range(3, 9) for kind in ("complete", "independent")]
