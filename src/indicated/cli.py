@@ -494,14 +494,15 @@ def build_parser():
                     "coloring game.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--format", choices=("text", "json", "dot"), default="json")
+    def common(sp, formats=("text", "json"), jobs=False):
+        sp.add_argument("--format", choices=formats, default="json")
         sp.add_argument("--budget", type=int, default=None,
                         help="solver node budget (hard error when exceeded)")
         sp.add_argument("--limit", type=int, default=DEFAULT_SOLVE_LIMIT,
                         help="solver size limit")
-        sp.add_argument("--jobs", type=int, default=1,
-                        help="parallel corpus workers")
+        if jobs:
+            sp.add_argument("--jobs", type=int, default=1,
+                            help="parallel corpus workers")
 
     sp = sub.add_parser("analyze", help="invariants and class tags for one graph")
     sp.add_argument("input", help="graph6 line or named constructor (C5, "
@@ -510,7 +511,7 @@ def build_parser():
                     help="solve the game: chi_i and the per-k table")
     sp.add_argument("--kmax", type=int, default=None)
     sp.add_argument("--decompose", choices=sorted(_DECOMPOSERS), default=None)
-    common(sp)
+    common(sp, formats=("text", "json", "dot"))
 
     sp = sub.add_parser("verify-class", help="run a class strategy vs the "
                                              "optimal adversary over a corpus")
@@ -518,7 +519,7 @@ def build_parser():
     sp.add_argument("strategy_class", metavar="class")
     sp.add_argument("--krange", default="chi..chi",
                     help="e.g. chi..chi+2, 2..5, col (default chi..chi)")
-    common(sp)
+    common(sp, jobs=True)
 
     sp = sub.add_parser("play", help="play one match and print the transcript")
     sp.add_argument("input")
@@ -533,7 +534,7 @@ def build_parser():
     sp.add_argument("corpus")
     sp.add_argument("invariant", choices=sorted(_INVARIANTS))
     sp.add_argument("--kmax", type=int, default=None)
-    common(sp)
+    common(sp, jobs=True)
     return p
 
 

@@ -179,11 +179,15 @@ def is_chordal(g):
 def is_split(g):
     """Split certificate (clique part, independent part) or None.
 
-    Candidate clique side: the m largest-degree vertices from the classic
-    degree-sequence test, verified directly; a brute-force fallback covers
-    degenerate ties.  The clique side is then grown by the least-id
-    independent vertex adjacent to all of it, so no independent vertex sees
-    the whole clique side in the returned certificate.
+    Hammer and Simeone: with degrees d_1 >= ... >= d_n and m the largest i
+    with d_i >= i - 1, g is split iff sum_{i<=m} d_i = m(m-1) +
+    sum_{i>m} d_i.  For the m highest-degree vertices K and the rest R,
+    sum_{i<=m} d_i = 2e(K) + e(K,R) <= m(m-1) + sum_{i>m} d_i, with equality
+    iff K is a clique and R is independent, so under the identity K and R
+    are a split partition whatever the tie order.  The clique side is then
+    grown by the least-id independent vertex adjacent to all of it, so no
+    independent vertex sees the whole clique side in the returned
+    certificate.
     """
     n = g.n
     if n == 0:
@@ -194,25 +198,9 @@ def is_split(g):
     for i in range(n):
         if degs[i] >= i:
             m = i + 1
-    lhs = sum(degs[:m])
-    rhs = m * (m - 1) + sum(degs[m:])
-    if lhs != rhs:
+    if sum(degs[:m]) != m * (m - 1) + sum(degs[m:]):
         return None
-
-    def valid(cl):
-        cmask = mask_of(cl)
-        for v in cl:
-            if (g.adj[v] & cmask).bit_count() != len(cl) - 1:
-                return False
-        rest = [v for v in range(n) if not (cmask >> v) & 1]
-        rmask = mask_of(rest)
-        return all(g.adj[v] & rmask == 0 for v in rest)
-
     clique = sorted(order[:m])
-    if not valid(clique):
-        clique = _split_fallback(g, m)
-        if clique is None:
-            return None
     cmask = mask_of(clique)
     for v in range(n):
         if not (cmask >> v) & 1 and g.adj[v] & cmask == cmask:
@@ -221,19 +209,6 @@ def is_split(g):
             break
     independent = [v for v in range(n) if not (cmask >> v) & 1]
     return clique, independent
-
-
-def _split_fallback(g, m):
-    """Exhaustive search for a clique side of size m (rare tie repair)."""
-    for cl in combinations(range(g.n), m):
-        cmask = mask_of(cl)
-        if any((g.adj[v] & cmask).bit_count() != m - 1 for v in cl):
-            continue
-        rest = [v for v in range(g.n) if not (cmask >> v) & 1]
-        rmask = mask_of(rest)
-        if all(g.adj[v] & rmask == 0 for v in rest):
-            return sorted(cl)
-    return None
 
 
 def brute_force_induced(host, pattern):

@@ -94,10 +94,6 @@ class GameState:
         if self.pending is not None and self.colors[self.pending]:
             raise BadParam("pending vertex already colored")
 
-    @property
-    def turn(self):
-        return "ben" if self.pending is not None else "ann"
-
     def uncolored(self):
         return [v for v in range(self.graph.n) if not self.colors[v]]
 
@@ -111,9 +107,6 @@ class GameState:
             if c:
                 out[c - 1] |= 1 << v
         return out
-
-    def clone(self):
-        return GameState(self.graph, self.k, self.colors, self.pending)
 
 
 def legal_colors(state, v):
@@ -372,11 +365,6 @@ class GameSolver:
                 return v, c, True
             fallback = fallback or (v, c, False)
         return fallback
-
-    def state_value(self, state):
-        """Value of a live selector-to-move position."""
-        classes = tuple(sorted(m for m in state.color_class_masks() if m))
-        return self.value(classes)
 
 
 @dataclass(frozen=True)

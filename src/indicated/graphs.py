@@ -35,9 +35,9 @@ __all__ = [
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "adj", "labels")
+    __slots__ = ("n", "adj")
 
-    def __init__(self, n, edges=(), labels=None):
+    def __init__(self, n, edges=()):
         if n < 0:
             raise BadParam("vertex count must be >= 0")
         rows = [0] * n
@@ -50,20 +50,14 @@ class Graph:
             rows[v] |= 1 << u
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", tuple(rows))
-        if labels is not None:
-            labels = tuple(str(x) for x in labels)
-            if len(labels) != n:
-                raise BadParam("labels length must equal n")
-        object.__setattr__(self, "labels", labels)
 
     @classmethod
-    def from_rows(cls, rows, labels=None):
+    def from_rows(cls, rows):
         """Build directly from adjacency bit rows (validated)."""
         n = len(rows)
         g = cls.__new__(cls)
         object.__setattr__(g, "n", n)
         object.__setattr__(g, "adj", tuple(rows))
-        object.__setattr__(g, "labels", tuple(labels) if labels else None)
         for v in range(n):
             if rows[v] >> n:
                 raise BadParam("adjacency row exceeds vertex range")
@@ -314,10 +308,7 @@ def induced(g, vertices):
         raise BadVertexSet(f"vertices {vertices} not all in range 0..{g.n - 1}")
     index = {v: i for i, v in enumerate(vs)}
     edges = [(index[u], index[v]) for u in vs for v in vs if u < v and g.has_edge(u, v)]
-    labels = None
-    if g.labels is not None:
-        labels = [g.labels[v] for v in vs]
-    return Graph(len(vs), edges, labels)
+    return Graph(len(vs), edges)
 
 
 def components(g):
@@ -448,12 +439,7 @@ def to_dot(g, coloring=None, name="G"):
     vertex -> color-number map."""
     lines = [f"graph {name} {{"]
     for v in range(g.n):
-        attrs = []
-        if g.labels is not None:
-            attrs.append(f'label="{g.labels[v]}"')
-        if coloring and coloring.get(v):
-            attrs.append(f'color="{coloring[v]}"')
-        suffix = f" [{', '.join(attrs)}]" if attrs else ""
+        suffix = f' [color="{coloring[v]}"]' if coloring and coloring.get(v) else ""
         lines.append(f"  {v}{suffix};")
     for u, v in g.edges():
         lines.append(f"  {u} -- {v};")

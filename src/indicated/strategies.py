@@ -144,6 +144,17 @@ class SubGamePhase:
         return self.vertices[local]
 
 
+def _palette_without(vertices, what):
+    """Palette callback: the palette minus the colors on vertices, which
+    must all be colored (what names them in the error)."""
+    def palette(state):
+        taken = {state.colors[u] for u in vertices}
+        if 0 in taken:
+            raise StrategyInvariantViolation(f"{what} not colored yet")
+        return [c for c in range(1, state.k + 1) if c not in taken]
+    return palette
+
+
 class PhasedStrategy(Strategy):
     """Plays the first phase whose vertices are not all colored."""
 
@@ -523,15 +534,6 @@ def strat_p5k4kitebull(g, k):
     if dec.V3:
         phases.append(StaticPhase([xstar]))
 
-    def without_color_of(anchor):
-        def palette(state):
-            c = state.colors[anchor]
-            if not c:
-                raise StrategyInvariantViolation(
-                    f"anchor vertex {anchor} not yet colored")
-            return [x for x in range(1, state.k + 1) if x != c]
-        return palette
-
     def sub_factory(gg, kk):
         try:
             return strat_cycle_expansion(gg, kk)
@@ -543,13 +545,14 @@ def strat_p5k4kitebull(g, k):
         sub = induced(g, v1)
         for comp in components(sub):
             phases.append(SubGamePhase([v1[i] for i in comp], sub_factory,
-                                       palette=without_color_of(b),
+                                       palette=_palette_without([b], f"anchor vertex {b}"),
                                        label="first block"))
     if dec.V3:
         sub = induced(g, dec.V3)
         for comp in components(sub):
             phases.append(SubGamePhase([dec.V3[i] for i in comp], sub_factory,
-                                       palette=without_color_of(xstar),
+                                       palette=_palette_without(
+                                           [xstar], f"anchor vertex {xstar}"),
                                        label="third layer"))
     leftovers = sorted((set(dec.B) | set(dec.S)) - {b, xstar})
     if leftovers:
@@ -628,16 +631,10 @@ def strat_split_c5_plus_clique(g, k):
     chi = t + chi_exact(restg)
     if k < chi:
         raise BoundViolated(f"need k >= {chi}, got {k}")
-
-    def leftover_palette(state):
-        taken = {state.colors[u] for u in universal}
-        if 0 in taken:
-            raise StrategyInvariantViolation("universal clique not fully colored")
-        return [c for c in range(1, state.k + 1) if c not in taken]
-
     return PhasedStrategy("split-c5-clique", [
         StaticPhase(sorted(universal)),
-        SubGamePhase(rest, strat_split_c5, palette=leftover_palette,
+        SubGamePhase(rest, strat_split_c5,
+                     palette=_palette_without(universal, "universal clique"),
                      label="expansion part"),
     ])
 
@@ -658,18 +655,11 @@ def strat_p5c4(g, k):
     if dec.chordal_part:
         phases.append(SubGamePhase(dec.chordal_part, strat_degeneracy,
                                    label="chordal part"))
-
-    def without_nbhd(pod):
-        def palette(state):
-            taken = {state.colors[u] for u in pod.clique_nbhd}
-            if 0 in taken:
-                raise StrategyInvariantViolation("pod neighborhood not colored yet")
-            return [c for c in range(1, state.k + 1) if c not in taken]
-        return palette
-
     for pod in dec.pods:
         phases.append(SubGamePhase(pod.vertices, strat_kc5,
-                                   palette=without_nbhd(pod), label="pod"))
+                                   palette=_palette_without(pod.clique_nbhd,
+                                                            "pod neighborhood"),
+                                   label="pod"))
     return PhasedStrategy("p5c4", phases)
 
 

@@ -172,36 +172,6 @@ def _cycle_order(base):
     return order
 
 
-def _induced_cycles(g, n):
-    """All induced n-cycles (n >= 3), canonically (min vertex first, lesser
-    neighbor second), in lexicographic order."""
-    adj = g.adj
-    out = []
-
-    def grow(path, seen, first):
-        # seen: vertices <= path[0] and the closed neighborhoods of
-        # path[1..-2]; first: the neighbors of path[0], which only the
-        # closing vertex may touch
-        last = path[-1]
-        row = adj[last]
-        if len(path) == n - 1:
-            for x in bits(row & first & ~seen):
-                if path[1] < x:
-                    # canonical direction: second vertex below last
-                    out.append((*path, x))
-            return
-        for x in bits(row & ~first & ~seen):
-            path.append(x)
-            grow(path, seen | row | (1 << last), first)
-            path.pop()
-
-    for v0 in range(g.n):
-        low = (2 << v0) - 1
-        for x in bits(adj[v0] & ~low):
-            grow([v0, x], low, adj[v0])
-    return sorted(out)
-
-
 def _kind_label(g, module, allowed):
     for kind in allowed:
         if _KIND_TESTS[kind](g, module):
@@ -213,10 +183,8 @@ def recognize_expansion(g, base, allowed=("complete", "independent")):
     """Recognize g as an expansion of the cycle `base` whose modules all fall
     under the allowed kinds; None if no such partition exists.
 
-    The least induced base-length cycle is the seed: each seed vertex anchors
-    its own position, and every other vertex goes to the least position p
-    whose two cycle neighbours are exactly the seed vertices it sees apart
-    from seed[p].  One seed suffices: C_n is prime for n >= 5, so a module
+    The least induced base-length cycle is the seed, and _place puts every
+    vertex around it.  One seed suffices: C_n is prime for n >= 5, so a module
     meets an induced C_n in at most one vertex unless it holds the whole
     cycle, and complete, independent and split modules are chordal.  C3 and
     C4 are not prime and take only ("complete",) or ("independent",).  Each
@@ -232,19 +200,9 @@ def recognize_expansion(g, base, allowed=("complete", "independent")):
     seed = find_induced_cycle(g, n)
     if seed is None:
         return None
-    bit = [1 << v for v in seed]
-    seed_mask = sum(bit)
-    want = [bit[p - 1] | bit[(p + 1) % n] for p in range(n)]
-    modules = [[] for _ in range(n)]
-    for v in range(g.n):
-        if seed_mask >> v & 1:
-            modules[seed.index(v)].append(v)
-            continue
-        row = g.adj[v] & seed_mask
-        pos = next((p for p in range(n) if row & ~bit[p] == want[p]), None)
-        if pos is None:
-            return None
-        modules[pos].append(v)
+    modules, rest = _place(g, seed)
+    if rest:
+        return None
     kinds = [_kind_label(g, m, allowed) for m in modules]
     if None in kinds:
         return None
@@ -253,6 +211,28 @@ def recognize_expansion(g, base, allowed=("complete", "independent")):
         return ExpansionStructure(g, base, tuple(map(tuple, modules)), tuple(kinds)).validate()
     except StructureViolation:
         return None
+
+
+def _place(g, seed):
+    """Modules around an induced cycle seed: each seed vertex anchors its own
+    position, and every other vertex goes to the least position p whose two
+    cycle neighbours are exactly the seed vertices it sees apart from
+    seed[p].  Returns (modules, rest), rest the vertices that fit no
+    position, all in ascending id order."""
+    n = len(seed)
+    bit = [1 << v for v in seed]
+    seed_mask = sum(bit)
+    want = [bit[p - 1] | bit[(p + 1) % n] for p in range(n)]
+    modules = [[] for _ in range(n)]
+    rest = []
+    for v in range(g.n):
+        if seed_mask >> v & 1:
+            modules[seed.index(v)].append(v)
+            continue
+        row = g.adj[v] & seed_mask
+        pos = next((p for p in range(n) if row & ~bit[p] == want[p]), None)
+        (rest if pos is None else modules[pos]).append(v)
+    return modules, rest
 
 
 def dihedral_orders(n):
@@ -659,11 +639,19 @@ def decompose_p5c4(g):
     each pod a complete expansion of C5 fully joined to a clique inside the
     chordal part.
 
-    Pods are grown greedily: seed an induced C5 among unassigned vertices,
-    absorb vertices whose adjacency matches one module's pattern until a
-    fixpoint, validate, repeat.  Seeds are tried in lexicographic order, so
-    the result is deterministic; postcondition validation guards the greedy
-    choices.
+    Each pass seeds the least induced C5 among the vertices left, places
+    them around it as recognize_expansion does and takes the placed ones as
+    a pod, its modules in seed order; the rest go to the next pass.  The
+    class check runs first, and in a {P5,C4}-free graph this placement is
+    exact.  A vertex with a neighbour on an induced C5 sees three
+    consecutive cycle vertices or all five, as any other pattern gives an
+    induced P5 or C4.  Two vertices placed at one position are adjacent, or
+    they close a C4 through the two cycle vertices around it; vertices at
+    adjacent positions are adjacent, or they end an induced P5 through the
+    far side of the cycle; vertices two positions apart are non-adjacent,
+    or they close a C4 with two cycle vertices.  So every placed vertex
+    fits the complete expansion pattern of every other, and growing modules
+    from the seed to a fixpoint would take exactly the placed vertices.
     """
     if not is_connected(g):
         raise Disconnected("decomposition requires a connected graph")
@@ -671,49 +659,16 @@ def decompose_p5c4(g):
     if not free:
         raise NotInClass("graph is not {P5,C4}-free", witness)
     remaining = list(range(g.n))
+    sub = g
     pods = []
-    while True:
-        sub = induced(g, remaining)
-        pod = None
-        for seed in _induced_cycles(sub, 5):
-            modules = _grow_kc5_pod(sub, seed)
-            if modules is not None:
-                pod = tuple(tuple(sorted(remaining[i] for i in mod)) for mod in modules)
-                break
-        if pod is None:
-            break
+    while (seed := find_induced_cycle(sub, 5)) is not None:
+        modules, rest = _place(sub, seed)
+        pod = tuple(tuple(remaining[i] for i in mod) for mod in modules)
         pod_vs = tuple(sorted(v for mod in pod for v in mod))
-        pod_mask = mask_of(pod_vs)
-        nbhd = set()
+        touched = 0
         for v in pod_vs:
-            nbhd |= {u for u in bits(g.adj[v] & ~pod_mask)}
-        pods.append(Pod(pod_vs, pod, tuple(sorted(nbhd))))
-        remaining = [v for v in remaining if v not in set(pod_vs)]
+            touched |= g.adj[v]
+        pods.append(Pod(pod_vs, pod, tuple(bits(touched & ~mask_of(pod_vs)))))
+        remaining = [remaining[i] for i in rest]
+        sub = induced(g, remaining)
     return P5C4Decomposition(g, tuple(remaining), tuple(pods)).validate()
-
-
-def _grow_kc5_pod(g, seed):
-    """Extend an induced C5 to maximal modules matching the complete
-    expansion pattern; None if the result is not a clean pod."""
-    modules = [[v] for v in seed]
-    assigned = set(seed)
-    changed = True
-    while changed:
-        changed = False
-        for x in range(g.n):
-            if x in assigned:
-                continue
-            for i in range(5):
-                inside = modules[(i - 1) % 5] + modules[i] + modules[(i + 1) % 5]
-                outside = modules[(i + 2) % 5] + modules[(i + 3) % 5]
-                if all(g.has_edge(x, u) for u in inside) and \
-                        not any(g.has_edge(x, u) for u in outside):
-                    modules[i].append(x)
-                    assigned.add(x)
-                    changed = True
-                    break
-    try:
-        _validate_kc5_modules(g, [tuple(sorted(m)) for m in modules])
-    except StructureViolation:
-        return None
-    return [sorted(m) for m in modules]

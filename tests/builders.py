@@ -1,8 +1,8 @@
 """Deterministic random-instance builders used by structure and acceptance
-tests: graphs assembled block-by-block in the two characterization shapes,
+tests: graphs assembled block-by-block in the characterization shapes,
 plus plain random graphs."""
 
-from indicated.graphs import Graph, is_connected
+from indicated.graphs import Graph, complete_expansion, is_connected, make_named
 
 
 def random_graph(rng, n, p=0.5):
@@ -153,4 +153,32 @@ def build_split_c5_instance(rng, max_clique=2, max_ind=2):
         mod_i = ids[f"C{i}"] + ids[f"U{i}"]
         mod_next = ids[f"C{(i + 1) % 5}"] + ids[f"U{(i + 1) % 5}"]
         edges += [(u, v) for u in mod_i for v in mod_next]
+    return Graph(nid, edges)
+
+
+def build_p5c4_instance(rng, max_chordal=6, max_module=3):
+    """A chordal part grown one vertex at a time, each new vertex joined to
+    part of a recorded clique, plus one to three complete C5 expansions
+    (module sizes 1..max_module), each fully joined to part of a recorded
+    clique.  Chordal wiring can hold an induced P5, so instances may fall
+    out of the {P5,C4}-free class."""
+    cliques = [[0]]
+    edges = []
+    nid = 1
+
+    def part_of(clique):
+        return [u for u in clique if rng.random() < 0.7] or [rng.choice(clique)]
+
+    for _ in range(rng.randint(0, max_chordal - 1)):
+        nbrs = part_of(rng.choice(cliques))
+        edges += [(u, nid) for u in nbrs]
+        cliques.append(nbrs + [nid])
+        nid += 1
+    for _ in range(rng.randint(1, 3)):
+        nbhd = part_of(rng.choice(cliques))
+        pod = complete_expansion(make_named("C", 5),
+                                 [rng.randint(1, max_module) for _ in range(5)])
+        edges += [(u + nid, v + nid) for u, v in pod.edges()]
+        edges += [(u, v + nid) for u in nbhd for v in range(pod.n)]
+        nid += pod.n
     return Graph(nid, edges)

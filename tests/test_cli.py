@@ -93,6 +93,12 @@ def test_analyze_dot_output():
     assert code == 0 and "0 -- 1" in out
 
 
+def test_flags_a_command_would_ignore_are_rejected():
+    """DOT output is analyze's alone and --jobs the corpus commands'."""
+    assert run_cli(["play", "C5", "3", "cycle", "--format", "dot"]) == (2, "")
+    assert run_cli(["analyze", "C5", "--jobs", "2"]) == (2, "")
+
+
 def test_analyze_dot_prints_straight_after_parsing(monkeypatch):
     """DOT output runs no oracle, class tag, decomposition or game solve,
     and its text is unchanged; an input over the chi limit exits 0, since
@@ -367,7 +373,9 @@ def test_check_chordal_equality_full_corpus():
      "b42bd5bc7f4af5b2434b3469011519b09c24ef98e629ce0d893c4eb711c34514"),
     (["analyze", "Petersen", "--exact"],
      "afa76d0eaf79a2ed66cf5a631bf9080381494f990a8203bd3340d9865f4865da"),
-], ids=["sandwich", "kc5-exact", "petersen-exact"])
+    (["analyze", "N@@?ewoBPcHGVTCg@iO", "--decompose", "p5c4"],
+     "f684a3bd2de9ca8b614c739170d32a89a642c29eb61a50fa854a7660c7fdb3a7"),
+], ids=["sandwich", "kc5-exact", "petersen-exact", "p5c4-two-pods"])
 def test_golden_report_hashes(argv, digest):
     """A change to the search keeps every canonical report byte-identical."""
     from conftest import DATA

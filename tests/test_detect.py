@@ -156,6 +156,32 @@ def test_split_clique_side_is_maximum(rng):
         checked += 1
 
 
+def _is_split_partition(g, clique):
+    cmask = sum(1 << v for v in clique)
+    rmask = g.full_mask() & ~cmask
+    return all((g.adj[v] & cmask).bit_count() == len(clique) - 1 for v in clique) and \
+        all(g.adj[v] & rmask == 0 for v in range(g.n) if rmask >> v & 1)
+
+
+def test_split_certificate_matches_brute_force(all_le6, connected_le7):
+    """The degree-sum identity holds exactly when some clique side splits
+    the graph, and then the certificate is a split partition."""
+    from itertools import combinations
+
+    split = 0
+    for g in all_le6 + connected_le7:
+        cert = is_split(g)
+        exists = any(_is_split_partition(g, cl) for size in range(g.n + 1)
+                     for cl in combinations(range(g.n), size))
+        assert (cert is not None) == exists, g.edges()
+        if cert is not None:
+            clique, indep = cert
+            assert sorted(clique + indep) == list(range(g.n)), g.edges()
+            assert _is_split_partition(g, clique), g.edges()
+            split += 1
+    assert split >= 250, split
+
+
 def test_detector_agrees_with_brute_force(rng):
     patterns = family_figure1() + [make_named("P", 5), make_named("C", 5),
                                    make_named("claw")]

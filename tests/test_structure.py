@@ -8,6 +8,7 @@ from indicated.errors import (
     BadParam,
     BoundViolated,
     Disconnected,
+    GraphGameError,
     NoInducedC5,
     NotApplicable,
     NotInClass,
@@ -22,23 +23,29 @@ from indicated.graphs import (
     complete_expansion,
     expand,
     independent_expansion,
+    induced,
+    is_connected,
     join,
     make_named,
+    mask_of,
     union,
 )
 from indicated.strategies import PhasedStrategy, StaticPhase, strat_cycle_expansion
 from indicated.structure import (
     ExpansionStructure,
+    P5C4Decomposition,
+    Pod,
     _canonical_rotation,
     _cycle_order,
-    _induced_cycles,
     _kind_label,
+    _validate_kc5_modules,
     chi_formula_kc5,
     chi_p5k4kitebull,
     decompose_p5c4,
     decompose_p5k4kitebull,
     decompose_p6c5claw,
     dihedral_orders,
+    family_p5c4,
     family_p5k4kitebull,
     family_p6c5claw,
     recognize_expansion,
@@ -48,6 +55,7 @@ from indicated.structure import (
 from builders import (
     build_c6_form_instance,
     build_layered_c5_instance,
+    build_p5c4_instance,
     build_split_c5_instance,
     random_graph,
     relabelled,
@@ -87,8 +95,9 @@ def test_recognize_expansion_exhaustive_roundtrip():
 
 
 def _per_bit_induced_cycles(g, n):
-    """The cycle search as it was before mask narrowing: each extension is
-    checked against every path vertex bit by bit."""
+    """All induced n-cycles, canonically (min vertex first, lesser neighbor
+    second), in lexicographic order: each extension is checked against
+    every path vertex bit by bit."""
     adj = g.adj
     out = []
 
@@ -122,21 +131,6 @@ def _per_bit_induced_cycles(g, n):
     return sorted(out)
 
 
-def test_induced_cycles_match_per_bit_search(rng):
-    found = dict.fromkeys(range(3, 9), 0)
-    graphs = [random_graph(rng, rng.randint(0, 10), p=rng.choice((0.2, 0.35, 0.5, 0.7)))
-              for _ in range(300)]
-    graphs += [C5, C6, make_named("Petersen"), complete_expansion(C5, (2, 1, 2, 1, 1)),
-               independent_expansion(make_named("C", 7), (2, 1, 1, 2, 1, 1, 1)),
-               independent_expansion(make_named("C", 8), (1, 2, 1, 1, 1, 1, 2, 1))]
-    for g in graphs:
-        for n in range(3, 9):
-            cycles = _induced_cycles(g, n)
-            assert cycles == _per_bit_induced_cycles(g, n), (g.edges(), n)
-            found[n] += len(cycles)
-    assert min(found.values()) >= 4, found
-
-
 def _seeded_canonical_rotation(modules, kinds, n):
     """The canonical module order as a min over all 2n dihedral orders."""
     perm = min(dihedral_orders(n), key=lambda p: tuple(modules[q][0] for q in p))
@@ -155,7 +149,7 @@ def _seeded_recognize_expansion(g, base, allowed=("complete", "independent")):
     only_complete = set(allowed) == {"complete"}
     only_independent = set(allowed) == {"independent"}
 
-    for seed in _induced_cycles(g, n):
+    for seed in _per_bit_induced_cycles(g, n):
         assignment = _seeded_assign_to_cycle(g, seed, n, only_complete, only_independent)
         if assignment is None:
             continue
@@ -503,6 +497,121 @@ def test_decompose_p5c4_bigger_pod():
     assert len(d.pods) == 1
     assert d.pods[0].sizes == (2, 1, 1, 1, 1) or sorted(d.pods[0].sizes) == [1, 1, 1, 1, 2]
     assert set(d.pods[0].clique_nbhd) == {0, 1}
+
+
+def _induced_cycles(g, n):
+    """All induced n-cycles (n >= 3), canonically (min vertex first, lesser
+    neighbor second), in lexicographic order."""
+    adj = g.adj
+    out = []
+
+    def grow(path, seen, first):
+        # seen: vertices <= path[0] and the closed neighborhoods of
+        # path[1..-2]; first: the neighbors of path[0], which only the
+        # closing vertex may touch
+        last = path[-1]
+        row = adj[last]
+        if len(path) == n - 1:
+            for x in bits(row & first & ~seen):
+                if path[1] < x:
+                    # canonical direction: second vertex below last
+                    out.append((*path, x))
+            return
+        for x in bits(row & ~first & ~seen):
+            path.append(x)
+            grow(path, seen | row | (1 << last), first)
+            path.pop()
+
+    for v0 in range(g.n):
+        low = (2 << v0) - 1
+        for x in bits(adj[v0] & ~low):
+            grow([v0, x], low, adj[v0])
+    return sorted(out)
+
+
+def _greedy_decompose_p5c4(g):
+    """decompose_p5c4 as a search over every induced C5 seed, growing
+    modules from each to a fixpoint and falling through to the next seed
+    when growth fails."""
+    if not is_connected(g):
+        raise Disconnected("decomposition requires a connected graph")
+    free, witness = is_family_free(g, family_p5c4())
+    if not free:
+        raise NotInClass("graph is not {P5,C4}-free", witness)
+    remaining = list(range(g.n))
+    pods = []
+    while True:
+        sub = induced(g, remaining)
+        pod = None
+        for seed in _induced_cycles(sub, 5):
+            modules = _grow_kc5_pod(sub, seed)
+            if modules is not None:
+                pod = tuple(tuple(sorted(remaining[i] for i in mod)) for mod in modules)
+                break
+        if pod is None:
+            break
+        pod_vs = tuple(sorted(v for mod in pod for v in mod))
+        pod_mask = mask_of(pod_vs)
+        nbhd = set()
+        for v in pod_vs:
+            nbhd |= {u for u in bits(g.adj[v] & ~pod_mask)}
+        pods.append(Pod(pod_vs, pod, tuple(sorted(nbhd))))
+        remaining = [v for v in remaining if v not in set(pod_vs)]
+    return P5C4Decomposition(g, tuple(remaining), tuple(pods)).validate()
+
+
+def _grow_kc5_pod(g, seed):
+    """Extend an induced C5 to maximal modules matching the complete
+    expansion pattern; None if the result is not a clean pod."""
+    modules = [[v] for v in seed]
+    assigned = set(seed)
+    changed = True
+    while changed:
+        changed = False
+        for x in range(g.n):
+            if x in assigned:
+                continue
+            for i in range(5):
+                inside = modules[(i - 1) % 5] + modules[i] + modules[(i + 1) % 5]
+                outside = modules[(i + 2) % 5] + modules[(i + 3) % 5]
+                if all(g.has_edge(x, u) for u in inside) and \
+                        not any(g.has_edge(x, u) for u in outside):
+                    modules[i].append(x)
+                    assigned.add(x)
+                    changed = True
+                    break
+    try:
+        _validate_kc5_modules(g, [tuple(sorted(m)) for m in modules])
+    except StructureViolation:
+        return None
+    return [sorted(m) for m in modules]
+
+
+def test_decompose_p5c4_matches_greedy_seed_search(rng, all_le6, connected_le7):
+    """One seed and one placement pass per pod give the decomposition of
+    the multi-seed fixpoint growth, or the same error."""
+    graphs = all_le6 + connected_le7
+    graphs += [relabelled(rng, build_p5c4_instance(rng)) for _ in range(300)]
+    found = collections.Counter()
+    for g in graphs:
+        try:
+            new = decompose_p5c4(g)
+        except GraphGameError as exc:
+            new = type(exc)
+        try:
+            old = _greedy_decompose_p5c4(g)
+        except GraphGameError as exc:
+            old = type(exc)
+        if isinstance(new, type):
+            assert new == old, g.edges()
+            found[new.__name__] += 1
+            continue
+        assert new.chordal_part == old.chordal_part, g.edges()
+        assert [(p.vertices, p.modules, p.clique_nbhd) for p in new.pods] == \
+            [(p.vertices, p.modules, p.clique_nbhd) for p in old.pods], g.edges()
+        found[min(len(new.pods), 2)] += 1
+    assert found[2] >= 100 and found[1] >= 50 and found[0] >= 100, found
+    assert found["NotInClass"] >= 100 and found["Disconnected"] >= 50, found
 
 
 def test_decompose_p5c4_errors():
