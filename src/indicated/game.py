@@ -18,6 +18,10 @@ argument behind chi_i <= col.  If the uncolored vertices peel one at a
 time, each with fewer uncolored neighbors left than legal colors, the
 selector wins by presenting them in reverse peel order: a colored neighbor
 removes at most one color, so no vertex is ever blocked.
+
+Its dual is decided at the root: the selector wins only by completing a
+proper k-coloring, so when an exact coloring search finds none (k < chi)
+every position is lost.  Each k proves this on its own.
 """
 
 from dataclasses import dataclass, field
@@ -135,6 +139,25 @@ def _first_blocked(adj, by_color, free):
     return None
 
 
+def _extend(adj, k, classes, free):
+    """A proper k-coloring extending the color classes (a tuple of at most k
+    vertex masks) to the vertices of the mask free, as the tuple of its
+    class masks, or None when there is none.  The least vertex with the
+    fewest legal colors joins each class it fits in turn, then a new class:
+    one branch for all the unused colors."""
+    if not free:
+        return classes
+    fits, v = min((([i for i, c in enumerate(classes) if not c & adj[v]], v)
+                   for v in bits(free)), key=lambda fv: len(fv[0]))
+    bit = 1 << v
+    free ^= bit
+    for i in fits:
+        done = _extend(adj, k, classes[:i] + (classes[i] | bit,) + classes[i + 1:], free)
+        if done is not None:
+            return done
+    return _extend(adj, k, classes + (bit,), free) if len(classes) < k else None
+
+
 # ---------------------------------------------------------------------------
 # exact solver
 # ---------------------------------------------------------------------------
@@ -208,6 +231,11 @@ class GameSolver:
     runs only when some vertex peels at once, a test the move loop makes
     from a degree table and the colored-neighbor count it takes for move
     ordering.  Values are exact either way; only the node count drops.
+
+    A root that does not peel is stored as lost in one node when ``_extend``
+    finds no proper k-coloring (the exhausted search is the witness).  A
+    completion of any position would complete the root, so ``lost`` is set
+    and every later ``value`` is False without a search.
     """
 
     def __init__(self, g, k, node_budget=None):
@@ -219,6 +247,7 @@ class GameSolver:
         self.memo = {}
         self.nodes = 0
         self.memo_hits = 0
+        self.lost = False
         self._full = g.full_mask()
         self._deg = [row.bit_count() for row in g.adj]
         tw = twin_classes(g)
@@ -232,6 +261,8 @@ class GameSolver:
     def value(self, classes=()):
         """True iff the selector wins with optimal play from this
         selector-to-move position (classes: sorted tuple of class masks)."""
+        if self.lost:
+            return False
         key = self._key(classes)
         hit = self.memo.get(key)
         if hit is not None:
@@ -295,6 +326,10 @@ class GameSolver:
             if not rest:
                 memo[key] = True
                 return True
+        if not classes and _extend(adj, self.k, (), self._full) is None:
+            self.lost = True
+            memo[key] = False
+            return False
         moves.sort()
         key_of = self._key
         search = self._search
@@ -644,8 +679,9 @@ def chi_exact(g, limit=20):
     upper = _greedy_chi(g)
     if lower == upper:
         return lower
+    seed = tuple(1 << v for v in clique)
     for k in range(lower, upper):
-        if _colorable(g, k, clique):
+        if _extend(adj, k, seed, g.full_mask() & ~sum(seed)) is not None:
             return k
     return upper
 
@@ -662,49 +698,3 @@ def _greedy_chi(g):
         colors[v] = c
         used = max(used, c)
     return used
-
-
-def _colorable(g, k, clique):
-    """Backtracking k-colorability with most-saturated-first selection and
-    new-color symmetry breaking."""
-    n = g.n
-    adj = g.adj
-    if len(clique) > k:
-        return False
-    colors = [0] * n
-    for i, v in enumerate(clique):
-        colors[v] = i + 1
-
-    def pick():
-        best = None
-        for v in range(n):
-            if colors[v]:
-                continue
-            taken = {colors[u] for u in bits(adj[v]) if colors[u]}
-            avail = k - len(taken)
-            if avail == 0:
-                return v, ()
-            key = (avail, -len(taken), v)
-            if best is None or key < best[0]:
-                cand = [c for c in range(1, k + 1) if c not in taken]
-                best = (key, v, cand)
-        if best is None:
-            return None, None
-        return best[1], best[2]
-
-    def solve(used):
-        v, cand = pick()
-        if v is None:
-            return True
-        if cand == ():
-            return False
-        for c in cand:
-            if c > used + 1:
-                break
-            colors[v] = c
-            if solve(max(used, c)):
-                return True
-            colors[v] = 0
-        return False
-
-    return solve(len(clique))

@@ -72,6 +72,10 @@ class Graph:
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
+    def __reduce__(self):
+        # the default slot restore would go through __setattr__
+        return Graph.from_rows, (self.adj,)
+
     def has_edge(self, u, v):
         return bool(self.adj[u] & (1 << v))
 

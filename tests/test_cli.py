@@ -1,5 +1,6 @@
 import hashlib
 import io
+import json
 import sys
 
 import pytest
@@ -258,6 +259,10 @@ def test_reports_roundtrip_and_determinism():
     text = serialize_report(rep)
     assert parse_report(text) == rep
     assert serialize_report(parse_report(text)) == text
+    rep = make_report("check", [{"moves": [[0, 1], [2, 3]], "b": None, "a": 1.5,
+                                 "name": "K\u2083 \"x\"", "empty": {}, "none": []},
+                                {"error": "E: \n"}], extra={"invariant": "sandwich"})
+    assert serialize_report(rep) == json.dumps(rep, sort_keys=True, indent=2) + "\n"
 
 
 def test_cli_determinism():

@@ -23,7 +23,10 @@ from indicated.game import (
     chi_exact,
     chi_i,
     legal_colors,
+    max_clique,
     omega_exact,
+    _extend,
+    _greedy_chi,
     _principal_line,
     play_match,
     twin_classes,
@@ -260,6 +263,116 @@ def test_chi_exact_brute_oracle(rng):
         assert chi_exact(g) == brute_chi(g)
 
 
+def _brute_completable(g, k, colors):
+    """True iff the partial coloring colors (0 = uncolored) extends to a
+    proper k-coloring: every color tried on each free vertex in id order."""
+    free = [v for v in range(g.n) if not colors[v]]
+    colors = list(colors)
+
+    def fill(i):
+        if i == len(free):
+            return True
+        v = free[i]
+        for c in range(1, k + 1):
+            if all(colors[u] != c for u in g.neighbors(v)):
+                colors[v] = c
+                if fill(i + 1):
+                    return True
+        colors[v] = 0
+        return False
+
+    return fill(0)
+
+
+def test_extend_matches_brute_completion(rng, all_le6):
+    """_extend finds a completion exactly when one exists, and a found one
+    is a proper coloring with at most k classes, the i-th containing the
+    i-th given class."""
+    found = none = 0
+    for g in all_le6:
+        for k in range(1, g.n + 1):
+            for trial in range(4):
+                state = GameState(g, k) if not trial else _random_partial_coloring(rng, g, k)
+                classes = tuple(m for m in state.color_class_masks() if m)
+                free = g.full_mask() & ~sum(classes)
+                done = _extend(g.adj, k, classes, free)
+                assert (done is not None) == _brute_completable(g, k, state.colors), \
+                    (g.edges(), k, state.colors)
+                if done is None:
+                    none += 1
+                    continue
+                found += 1
+                assert len(done) <= k
+                assert sorted(v for c in done for v in bits(c)) == list(range(g.n))
+                assert all(not g.adj[v] & c for c in done for v in bits(c))
+                assert all(c & ~d == 0 for c, d in zip(classes, done))
+    assert found >= 2000 and none >= 1000
+
+
+def _old_colorable(g, k, clique):
+    """The list-based k-colorability test chi_exact used before _extend,
+    verbatim."""
+    n = g.n
+    adj = g.adj
+    if len(clique) > k:
+        return False
+    colors = [0] * n
+    for i, v in enumerate(clique):
+        colors[v] = i + 1
+
+    def pick():
+        best = None
+        for v in range(n):
+            if colors[v]:
+                continue
+            taken = {colors[u] for u in bits(adj[v]) if colors[u]}
+            avail = k - len(taken)
+            if avail == 0:
+                return v, ()
+            key = (avail, -len(taken), v)
+            if best is None or key < best[0]:
+                cand = [c for c in range(1, k + 1) if c not in taken]
+                best = (key, v, cand)
+        if best is None:
+            return None, None
+        return best[1], best[2]
+
+    def solve(used):
+        v, cand = pick()
+        if v is None:
+            return True
+        if cand == ():
+            return False
+        for c in cand:
+            if c > used + 1:
+                break
+            colors[v] = c
+            if solve(max(used, c)):
+                return True
+            colors[v] = 0
+        return False
+
+    return solve(len(clique))
+
+
+def test_chi_exact_matches_old_colorable(connected_le7):
+    """chi_exact on _extend gives the chromatic number the old test gave,
+    and both tests agree on every k from the clique size to n."""
+    gaps = 0
+    for g in connected_le7:
+        clique = max_clique(g)
+        upper = _greedy_chi(g)
+        old = next((k for k in range(len(clique), upper) if _old_colorable(g, k, clique)),
+                   upper)
+        assert chi_exact(g) == old, g.edges()
+        gaps += len(clique) < upper
+        seed = tuple(1 << v for v in clique)
+        for k in range(len(clique), g.n + 1):
+            assert (_extend(g.adj, k, seed, g.full_mask() & ~sum(seed)) is None) \
+                == (not _old_colorable(g, k, clique)), (g.edges(), k)
+    assert gaps >= 50
+
+
 def test_twin_classes():
     g = complete_expansion(make_named("C", 5), (2, 2, 1, 1, 1))
     classes = twin_classes(g)
@@ -341,20 +454,25 @@ def test_solver_canonicalizations_agree(rng):
 
 
 def test_twin_key_keeps_kc5_table():
-    """On KC5:3,3,2,2,2 the twin key gives the class-multiset key's table
-    in 1,192 nodes over k = 1..8 (43,975 with the class-multiset key)."""
-    g = complete_expansion(make_named("C", 5), (3, 3, 2, 2, 2))
-    table = {}
-    nodes = ref_nodes = 0
-    for k in range(1, 9):
-        ref = _ClassesKeySolver(g, k)
-        table[k] = ref.value(())
-        res = ann_wins(g, k, want_line=False)
-        assert res.ann_wins == table[k], k
-        nodes += res.nodes
-        ref_nodes += ref.nodes
-    assert chi_i(g, 8).winnable == table
-    assert (nodes, ref_nodes) == (1192, 43975)
+    """KC5:3,3,2,2,2 has chi = col = 6, so every k of 1..8 is decided at
+    the root in one node with either key.  KC5:2,2,2,2,2 has chi 5 and col
+    6, so k = 5 is searched: there the twin key gives the class-multiset
+    key's table in 95 nodes over k = 1..7 (582 with the class-multiset
+    key)."""
+    for mods, kmax, counts in (((3, 3, 2, 2, 2), 8, (8, 8)),
+                               ((2, 2, 2, 2, 2), 7, (95, 582))):
+        g = complete_expansion(make_named("C", 5), mods)
+        table = {}
+        nodes = ref_nodes = 0
+        for k in range(1, kmax + 1):
+            ref = _ClassesKeySolver(g, k)
+            table[k] = ref.value(())
+            res = ann_wins(g, k, want_line=False)
+            assert res.ann_wins == table[k], (mods, k)
+            nodes += res.nodes
+            ref_nodes += ref.nodes
+        assert chi_i(g, kmax).winnable == table
+        assert (nodes, ref_nodes) == counts, mods
 
 
 class _CountTupleTwinSolver(GameSolver):
@@ -674,20 +792,65 @@ def test_peel_values_match_unpeeled_search_inside(rng):
 
 def test_peel_decides_root_at_coloring_number(rng):
     """At the root every vertex has k legal colors, so the whole graph peels
-    iff k >= col, and then the search takes one node.  IC7:2^7 has col = 5."""
+    iff k >= col, and then the search takes one node.  Below chi the root
+    has no proper k-coloring to complete, so it is lost in one node too.
+    IC7:2^7 has chi = 3 and col = 5."""
     g = independent_expansion(make_named("C", 7), (2,) * 7)
     assert degeneracy(g).col == 5
     for k in (5, 6):
         solver = GameSolver(g, k)
         assert solver.value(()) and (solver.nodes, len(solver.memo)) == (1, 1)
     assert GameSolver(g, 4).value(())
+    assert chi_exact(g) == 3
+    for k in (1, 2):
+        solver = GameSolver(g, k)
+        assert not solver.value(()) and (solver.nodes, len(solver.memo)) == (1, 1)
     for _ in range(40):
         g = random_graph(rng, rng.randint(2, 9), p=rng.choice((0.3, 0.5, 0.7)))
         col = degeneracy(g).col
+        chi = chi_exact(g)
         for k in range(1, col + 2):
             solver = GameSolver(g, k)
             solver.value(())
-            assert (solver.nodes == 1) == (k >= col), (g.edges(), k)
+            assert (solver.nodes == 1) == (k >= col or k < chi), (g.edges(), k)
+
+
+def test_root_proof_below_chi(all_le6, connected_le7):
+    """Below chi the root has no proper k-coloring, so the game is lost in
+    one node, the value agrees with the reference, and every answer is the
+    least one: the principal line colors the least uncolored vertex with its
+    least legal color until a vertex is blocked, and the optimal reply on
+    any vertex along that line is its least legal color, with no further
+    node searched."""
+    pairs = replies = 0
+    for g in list(all_le6) + list(connected_le7):
+        for k in range(1, chi_exact(g)):
+            res = ann_wins(g, k)
+            assert (res.ann_wins, res.nodes) == (False, 1), (g.edges(), k)
+            assert not ann_wins_reference(g, k), (g.edges(), k)
+            state = GameState(g, k)
+            line = []
+            while blocked_vertex(state) is None:
+                v = state.uncolored()[0]
+                line.append((v, min(legal_colors(state, v))))
+                state.colors[v] = line[-1][1]
+            assert res.principal_line == tuple(line), (g.edges(), k)
+            solver = GameSolver(g, k)
+            assert not solver.value(())
+            state = GameState(g, k)
+            for v, c in line + [(None, None)]:
+                for u in state.uncolored():
+                    legal = legal_colors(state, u)
+                    if legal:
+                        state.pending = u
+                        assert ben_best_reply(state, solver) == min(legal), (g.edges(), k)
+                        state.pending = None
+                        replies += 1
+                if v is not None:
+                    state.colors[v] = c
+            assert solver.nodes == 1
+            pairs += 1
+    assert pairs >= 2700 and replies >= 40000
 
 
 def test_chi_i_label_invariance(rng):
@@ -878,8 +1041,9 @@ def test_solver_query_matches_concrete_replies(rng, connected_le7):
     """move and reply make the same value calls, in the same order, as the
     _concrete_replies callers did: values, principal lines, nodes, memo
     sizes, optimal replies and solver-backed matches are identical.  The
-    line no longer re-probes the chosen vertex, so its hits can only drop."""
-    graphs = [random_graph(rng, rng.randint(1, 9)) for _ in range(120)]
+    line no longer re-probes the chosen vertex, so its hits can only drop;
+    below chi neither side searches past the root, so there they tie."""
+    graphs = [random_graph(rng, rng.randint(1, 9)) for _ in range(200)]
     graphs += connected_le7[::12]
     graphs += [complete_expansion(make_named("C", 5), (2, 2, 1, 1, 1)),
                independent_expansion(make_named("C", 6), (2, 1, 2, 1, 1, 1)),

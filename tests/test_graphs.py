@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -202,6 +203,20 @@ def test_graph_immutable_and_hashable():
     with pytest.raises(AttributeError):
         g.n = 7
     assert len({g, make_named("C", 5)}) == 1
+
+
+def test_graph_pickle_roundtrip(all_le6, connected_le7):
+    """Graphs survive pickling, so a process pool can be handed graphs."""
+    named = [make_named(f, n) for f in "PCKW" for n in range(3, 8)]
+    named += [make_named(name) for name in ("Kite", "Bull", "Dart", "claw", "P5_bar",
+                                            "P2uP3", "P2uP3_bar", "Petersen",
+                                            "diamond", "paw")]
+    for g in named + list(all_le6) + list(connected_le7) + [Graph(0)]:
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(g, protocol))
+            assert type(back) is Graph and back == g and back.adj == g.adj
+    with pytest.raises(AttributeError):
+        back.n = 3
 
 
 def test_to_dot():
