@@ -144,12 +144,13 @@ def _expansion_record(g, n):
 def cmd_analyze(args):
     try:
         g = parse_graph_spec(args.input)
+        if args.format == "dot":
+            return to_dot(g), 0
+        graph6 = write_graph6(g)
     except GraphGameError as exc:
-        return _error_report("analyze", str(exc)), 2
-    if args.format == "dot":
-        return to_dot(g), 0
+        return _error_report("analyze", f"{type(exc).__name__}: {exc}"), 2
     rec = {
-        "graph6": write_graph6(g),
+        "graph6": graph6,
         "n": g.n,
         "m": g.num_edges,
         "max_degree": max((g.degree(v) for v in range(g.n)), default=0),
@@ -312,6 +313,7 @@ def _int_list(text, what):
 def cmd_play(args):
     try:
         g = parse_graph_spec(args.input)
+        graph6 = write_graph6(g)
         name, sep, order = args.strategy.partition(":")
         if name == "scripted" and sep:
             order = _int_list(order, "scripted order")
@@ -331,7 +333,7 @@ def cmd_play(args):
         return _error_report("play", f"unknown strategy {args.strategy!r}"), 2
     except GraphGameError as exc:
         return _error_report("play", f"{type(exc).__name__}: {exc}"), 2
-    rec = reports.match_record(match, graph6=write_graph6(g), strategy=args.strategy)
+    rec = reports.match_record(match, graph6=graph6, strategy=args.strategy)
     report = reports.make_report("play", [rec])
     return report, None
 

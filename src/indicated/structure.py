@@ -4,6 +4,11 @@ forbidden-subgraph classes.
 Every decomposer validates the full claim list of its target structure as a
 postcondition and fails loudly on violation instead of trusting the class
 check; the class check and the decomposition cross-verify each other.
+
+Every structure seeded by an induced cycle (cycle expansions, the layered
+partition around a C5, the clique blocks around a C6 and the {P5,C4} pods)
+places vertices by the seed vertices they see with one routine, _place,
+and checks its modules in cycle order with one routine, _check_modules.
 """
 
 from dataclasses import dataclass
@@ -136,22 +141,28 @@ class ExpansionStructure:
         return tuple(out)
 
     def validate(self):
-        g = self.graph
-        n = self.base.n
         all_vs = sorted(v for m in self.modules for v in m)
-        if all_vs != list(range(g.n)):
+        if all_vs != list(range(self.graph.n)):
             raise StructureViolation("modules do not partition V")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if (j - i) % n in (1, n - 1):
-                    if not _complete_between(g, self.modules[i], self.modules[j]):
-                        raise StructureViolation(f"[M{i},M{j}] not complete")
-                elif not _empty_between(g, self.modules[i], self.modules[j]):
-                    raise StructureViolation(f"[M{i},M{j}] not empty")
-        for i, kind in enumerate(self.kinds):
-            if not _KIND_TESTS[kind](g, self.modules[i]):
-                raise StructureViolation(f"module {i} is not {kind}")
+        _check_modules(self.graph, self.modules, self.kinds)
         return self
+
+
+def _check_modules(g, modules, kinds):
+    """Raise StructureViolation unless the modules, in cycle order, are
+    non-empty, each of its kind, fully joined across cycle edges and fully
+    non-adjacent otherwise."""
+    n = len(modules)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (j - i) % n in (1, n - 1):
+                if not _complete_between(g, modules[i], modules[j]):
+                    raise StructureViolation(f"[M{i},M{j}] not complete")
+            elif not _empty_between(g, modules[i], modules[j]):
+                raise StructureViolation(f"[M{i},M{j}] not empty")
+    for i, kind in enumerate(kinds):
+        if not modules[i] or not _KIND_TESTS[kind](g, modules[i]):
+            raise StructureViolation(f"module {i} is empty or not {kind}")
 
 
 def _cycle_order(base):
@@ -315,10 +326,7 @@ class C5Decomposition:
         a_all = sorted(v for part in self.A for v in part)
         if not _empty_between(g, a_all, self.n2_rest):
             raise StructureViolation("cycle classes touch the second layer")
-        if recognize_expansion(induced(g, a_all), make_named("C", 5),
-                               allowed=("independent",)) is None:
-            raise StructureViolation(
-                "cycle classes are not an independent C5 expansion")
+        _check_modules(g, self.A, ("independent",) * 5)
         core = induced(g, v1 + v3) if v1 or v3 else None
         if core is not None:
             _check_ic5_or_bipartite_components(core)
@@ -341,11 +349,15 @@ def decompose_p5k4kitebull(g):
     """Layered decomposition of a connected {P5,K4,Kite,Bull}-free graph
     containing an induced C5.
 
-    Layers are distances from the (lexicographically least) induced C5.
-    First-layer vertices land in A_i when they see exactly the two cycle
-    vertices around position i, in B when they see all five; second-layer
-    vertices with third-layer neighbors form S; layer four must be empty.
-    The full invariant suite is re-validated before returning.
+    _place puts the vertices around the least induced C5, as
+    recognize_expansion does: A_i takes the vertices that see exactly the
+    two cycle vertices around position i.  Of the vertices left, B takes
+    those that see all five, the second layer those with a neighbour in A
+    or B, and the third layer those with a neighbour in the second; S is the
+    second-layer vertices with a third-layer neighbour, and the apex the
+    least vertex of S that sees the whole third layer.  A vertex that fits
+    no block fails the partition check of the full invariant suite, which
+    is re-validated before returning.
     """
     if not is_connected(g):
         raise Disconnected("decomposition requires a connected graph")
@@ -355,69 +367,26 @@ def decompose_p5k4kitebull(g):
     free, witness = is_family_free(g, family_p5k4kitebull())
     if not free:
         raise NotInClass("graph is not {P5,K4,Kite,Bull}-free", witness)
-    layers = _bfs_layers(g, cyc)
-    if len(layers) > 4:
-        raise StructureViolation("vertices at distance >= 4 from the cycle")
-    n1 = layers[1] if len(layers) > 1 else []
-    n2 = layers[2] if len(layers) > 2 else []
-    n3 = layers[3] if len(layers) > 3 else []
-    A = [[cyc[i]] for i in range(5)]
-    B = []
-    cyc_pos = {v: i for i, v in enumerate(cyc)}
-    for x in n1:
-        hits = sorted(cyc_pos[u] for u in bits(g.adj[x]) if u in cyc_pos)
-        if len(hits) == 5:
-            B.append(x)
-        elif len(hits) == 2 and (hits[1] - hits[0]) % 5 in (2, 3):
-            a, b = hits
-            i = (a + 1) % 5 if (b - a) % 5 == 2 else (b + 1) % 5
-            A[i].append(x)
-        else:
-            raise StructureViolation(
-                f"first-layer vertex {x} sees cycle positions {hits}")
+    A, rest = _place(g, cyc)
+    ring = mask_of(cyc)
+    B = [v for v in rest if g.adj[v] & ring == ring]
+    near = mask_of([v for part in A for v in part] + B)
+    n2 = [v for v in rest if g.adj[v] & near and not near >> v & 1]
+    n2mask = mask_of(n2)
+    n3 = [v for v in rest if g.adj[v] & n2mask and not (near | n2mask) >> v & 1]
     n3mask = mask_of(n3)
     S = [x for x in n2 if g.adj[x] & n3mask]
-    n2_rest = [x for x in n2 if x not in set(S)]
-    xstar = None
-    if n3:
-        for x in S:
-            if g.adj[x] & n3mask == n3mask:
-                xstar = x
-                break
-        if xstar is None:
-            raise StructureViolation("no second-layer vertex sees all of V3")
     dec = C5Decomposition(
         graph=g,
         cycle=tuple(cyc),
-        A=tuple(tuple(sorted(part)) for part in A),
-        B=tuple(sorted(B)),
-        S=tuple(sorted(S)),
-        n2_rest=tuple(sorted(n2_rest)),
-        V3=tuple(sorted(n3)),
-        xstar=xstar,
+        A=tuple(map(tuple, A)),
+        B=tuple(B),
+        S=tuple(S),
+        n2_rest=tuple(x for x in n2 if x not in S),
+        V3=tuple(n3),
+        xstar=next((x for x in S if g.adj[x] & n3mask == n3mask), None),
     )
     return dec.validate()
-
-
-def _bfs_layers(g, roots):
-    dist = [-1] * g.n
-    frontier = list(roots)
-    for v in frontier:
-        dist[v] = 0
-    d = 0
-    layers = [sorted(frontier)]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in bits(g.adj[v]):
-                if dist[u] == -1:
-                    dist[u] = d + 1
-                    nxt.append(u)
-        d += 1
-        frontier = nxt
-        if frontier:
-            layers.append(sorted(frontier))
-    return layers
 
 
 def chi_p5k4kitebull(dec):
@@ -451,14 +420,7 @@ class C6Decomposition:
         pieces += [v for part in self.B for v in part]
         if sorted(pieces) != list(range(g.n)):
             raise StructureViolation("blocks do not partition V")
-        for i in range(6):
-            if not _is_clique(g, self.A[i]):
-                raise StructureViolation(f"A_{i} is not a clique")
-            if not _complete_between(g, self.A[i], self.A[(i + 1) % 6]):
-                raise StructureViolation(f"[A_{i},A_{i + 1}] not complete")
-            for d in (2, 3):
-                if not _empty_between(g, self.A[i], self.A[(i + d) % 6]):
-                    raise StructureViolation(f"[A_{i},A_{i + d}] not empty")
+        _check_modules(g, self.A, ("complete",) * 6)
         for j in range(3):
             if not _is_clique(g, self.B[j]):
                 raise StructureViolation(f"B_{j} is not a clique")
@@ -478,9 +440,12 @@ class C6Decomposition:
 def decompose_p6c5claw(g):
     """Classify a connected {P6,C5,claw}-free graph with an induced C6.
 
-    Every vertex is within distance 1 of the cycle; first-layer vertices see
-    either three consecutive cycle vertices (joining A of the middle one) or
-    everything except an opposite pair (joining the B class of that pair).
+    _place puts the vertices around the least induced C6, as
+    recognize_expansion does: A_i takes the vertices that see the two cycle
+    vertices around position i (and, in this class, position i itself).  Of
+    the vertices left, B_j takes those that see every cycle vertex except
+    positions j and j + 3.  A vertex that fits no block fails the partition
+    check of validate().
     """
     if not is_connected(g):
         raise Disconnected("decomposition requires a connected graph")
@@ -490,35 +455,15 @@ def decompose_p6c5claw(g):
     free, witness = is_family_free(g, family_p6c5claw())
     if not free:
         raise NotInClass("graph is not {P6,C5,claw}-free", witness)
-    layers = _bfs_layers(g, cyc)
-    if len(layers) > 2:
-        raise StructureViolation("vertices at distance >= 2 from the cycle")
-    A = [[cyc[i]] for i in range(6)]
-    B = [[], [], []]
-    cyc_pos = {v: i for i, v in enumerate(cyc)}
-    for x in (layers[1] if len(layers) > 1 else []):
-        hits = {cyc_pos[u] for u in bits(g.adj[x]) if u in cyc_pos}
-        placed = False
-        if len(hits) == 3:
-            for i in range(6):
-                if hits == {(i - 1) % 6, i, (i + 1) % 6}:
-                    A[i].append(x)
-                    placed = True
-                    break
-        elif len(hits) == 4:
-            missing = set(range(6)) - hits
-            lo = min(missing)
-            if missing == {lo, lo + 3}:
-                B[lo % 3].append(x)
-                placed = True
-        if not placed:
-            raise StructureViolation(
-                f"first-layer vertex {x} sees cycle positions {sorted(hits)}")
+    A, rest = _place(g, cyc)
+    ring = mask_of(cyc)
+    B = [[v for v in rest if g.adj[v] & ring == ring & ~mask_of((cyc[j], cyc[j + 3]))]
+         for j in range(3)]
     dec = C6Decomposition(
         graph=g,
         cycle=tuple(cyc),
-        A=tuple(tuple(sorted(part)) for part in A),
-        B=tuple(tuple(sorted(part)) for part in B),
+        A=tuple(map(tuple, A)),
+        B=tuple(map(tuple, B)),
     )
     return dec.validate()
 
@@ -609,7 +554,7 @@ class P5C4Decomposition:
             raise StructureViolation("claimed chordal part is not chordal")
         core = set(self.chordal_part)
         for pod in self.pods:
-            _validate_kc5_modules(g, pod.modules)
+            _check_modules(g, pod.modules, ("complete",) * 5)
             nbhd = set()
             for v in pod.vertices:
                 nbhd |= {u for u in bits(g.adj[v]) if u not in pod.vertices}
@@ -622,16 +567,6 @@ class P5C4Decomposition:
             if not _complete_between(g, pod.vertices, sorted(nbhd)):
                 raise StructureViolation("pod not fully joined to its neighborhood")
         return self
-
-
-def _validate_kc5_modules(g, modules):
-    for i in range(5):
-        if not _is_clique(g, modules[i]):
-            raise StructureViolation("pod module is not a clique")
-        if not _complete_between(g, modules[i], modules[(i + 1) % 5]):
-            raise StructureViolation("adjacent pod modules not joined")
-        if not _empty_between(g, modules[i], modules[(i + 2) % 5]):
-            raise StructureViolation("distant pod modules adjacent")
 
 
 def decompose_p5c4(g):

@@ -89,9 +89,21 @@ def test_analyze_over_limit_keeps_partial_results():
     assert rec["error"].startswith("chi_i: TooLarge:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "P63"],
+    ["play", "P63", "2", "degeneracy", "--limit", "70"],
+])
+def test_graph6_writer_limit_exits_2(argv):
+    code, out = run_cli(argv)
+    assert code == 2
+    assert parse_report(out)["error"].startswith("BadParam:")
+
+
 def test_analyze_dot_output():
     code, out = run_cli(["analyze", "P3", "--format", "dot"])
     assert code == 0 and "0 -- 1" in out
+    code, out = run_cli(["analyze", "P63", "--format", "dot"])
+    assert code == 0 and "61 -- 62" in out
 
 
 def test_flags_a_command_would_ignore_are_rejected():
@@ -380,7 +392,12 @@ def test_check_chordal_equality_full_corpus():
      "afa76d0eaf79a2ed66cf5a631bf9080381494f990a8203bd3340d9865f4865da"),
     (["analyze", "N@@?ewoBPcHGVTCg@iO", "--decompose", "p5c4"],
      "f684a3bd2de9ca8b614c739170d32a89a642c29eb61a50fa854a7660c7fdb3a7"),
-], ids=["sandwich", "kc5-exact", "petersen-exact", "p5c4-two-pods"])
+    (["analyze", "KXFG?F~~o@_@", "--decompose", "p5k4kitebull"],
+     "68f47cdee371cb224da980867e09243ab403d413159d32a6b3d699dab6b16f26"),
+    (["analyze", "IzCKJmYz?", "--decompose", "p6c5claw"],
+     "716338e66e898a23b65f3f06cf9a57eb8b0343327ad80ce7fdc0a64a106b34bc"),
+], ids=["sandwich", "kc5-exact", "petersen-exact", "p5c4-two-pods",
+        "p5k4kitebull-apex", "p6c5claw-three-b"])
 def test_golden_report_hashes(argv, digest):
     """A change to the search keeps every canonical report byte-identical."""
     from conftest import DATA

@@ -1,15 +1,17 @@
 import collections
+import dataclasses
 import itertools
 
 import pytest
 
-from indicated.detect import is_family_free
+from indicated.detect import find_induced_cycle, is_family_free
 from indicated.errors import (
     BadParam,
     BoundViolated,
     Disconnected,
     GraphGameError,
     NoInducedC5,
+    NoInducedC6,
     NotApplicable,
     NotInClass,
     StructureViolation,
@@ -32,13 +34,17 @@ from indicated.graphs import (
 )
 from indicated.strategies import PhasedStrategy, StaticPhase, strat_cycle_expansion
 from indicated.structure import (
+    C5Decomposition,
+    C6Decomposition,
     ExpansionStructure,
     P5C4Decomposition,
     Pod,
     _canonical_rotation,
+    _complete_between,
     _cycle_order,
+    _empty_between,
+    _is_clique,
     _kind_label,
-    _validate_kc5_modules,
     chi_formula_kc5,
     chi_p5k4kitebull,
     decompose_p5c4,
@@ -442,10 +448,168 @@ def test_decompose_c6_randomized_roundtrip(rng):
 def test_decompose_c6_errors():
     with pytest.raises(NotInClass):
         decompose_p6c5claw(join(make_named("K", 1), C6))  # claw via hub
-    from indicated.errors import NoInducedC6
-
     with pytest.raises(NoInducedC6):
         decompose_p6c5claw(make_named("K", 4))
+
+
+def _hitlist_decompose_p5k4kitebull(g):
+    """The earlier decompose_p5k4kitebull, kept as the reference: distance
+    layers from the cycle and per-vertex cycle hit lists."""
+    if not is_connected(g):
+        raise Disconnected("decomposition requires a connected graph")
+    cyc = find_induced_cycle(g, 5)
+    if cyc is None:
+        raise NoInducedC5("no induced C5")
+    free, witness = is_family_free(g, family_p5k4kitebull())
+    if not free:
+        raise NotInClass("graph is not {P5,K4,Kite,Bull}-free", witness)
+    layers = _bfs_layers(g, cyc)
+    if len(layers) > 4:
+        raise StructureViolation("vertices at distance >= 4 from the cycle")
+    n1 = layers[1] if len(layers) > 1 else []
+    n2 = layers[2] if len(layers) > 2 else []
+    n3 = layers[3] if len(layers) > 3 else []
+    A = [[cyc[i]] for i in range(5)]
+    B = []
+    cyc_pos = {v: i for i, v in enumerate(cyc)}
+    for x in n1:
+        hits = sorted(cyc_pos[u] for u in bits(g.adj[x]) if u in cyc_pos)
+        if len(hits) == 5:
+            B.append(x)
+        elif len(hits) == 2 and (hits[1] - hits[0]) % 5 in (2, 3):
+            a, b = hits
+            i = (a + 1) % 5 if (b - a) % 5 == 2 else (b + 1) % 5
+            A[i].append(x)
+        else:
+            raise StructureViolation(
+                f"first-layer vertex {x} sees cycle positions {hits}")
+    n3mask = mask_of(n3)
+    S = [x for x in n2 if g.adj[x] & n3mask]
+    n2_rest = [x for x in n2 if x not in set(S)]
+    xstar = None
+    if n3:
+        for x in S:
+            if g.adj[x] & n3mask == n3mask:
+                xstar = x
+                break
+        if xstar is None:
+            raise StructureViolation("no second-layer vertex sees all of V3")
+    dec = C5Decomposition(
+        graph=g,
+        cycle=tuple(cyc),
+        A=tuple(tuple(sorted(part)) for part in A),
+        B=tuple(sorted(B)),
+        S=tuple(sorted(S)),
+        n2_rest=tuple(sorted(n2_rest)),
+        V3=tuple(sorted(n3)),
+        xstar=xstar,
+    )
+    return dec.validate()
+
+
+def _bfs_layers(g, roots):
+    dist = [-1] * g.n
+    frontier = list(roots)
+    for v in frontier:
+        dist[v] = 0
+    d = 0
+    layers = [sorted(frontier)]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for u in bits(g.adj[v]):
+                if dist[u] == -1:
+                    dist[u] = d + 1
+                    nxt.append(u)
+        d += 1
+        frontier = nxt
+        if frontier:
+            layers.append(sorted(frontier))
+    return layers
+
+
+def _hitlist_decompose_p6c5claw(g):
+    """The earlier decompose_p6c5claw, kept as the reference: distance
+    layers from the cycle and per-vertex cycle hit sets."""
+    if not is_connected(g):
+        raise Disconnected("decomposition requires a connected graph")
+    cyc = find_induced_cycle(g, 6)
+    if cyc is None:
+        raise NoInducedC6("no induced C6")
+    free, witness = is_family_free(g, family_p6c5claw())
+    if not free:
+        raise NotInClass("graph is not {P6,C5,claw}-free", witness)
+    layers = _bfs_layers(g, cyc)
+    if len(layers) > 2:
+        raise StructureViolation("vertices at distance >= 2 from the cycle")
+    A = [[cyc[i]] for i in range(6)]
+    B = [[], [], []]
+    cyc_pos = {v: i for i, v in enumerate(cyc)}
+    for x in (layers[1] if len(layers) > 1 else []):
+        hits = {cyc_pos[u] for u in bits(g.adj[x]) if u in cyc_pos}
+        placed = False
+        if len(hits) == 3:
+            for i in range(6):
+                if hits == {(i - 1) % 6, i, (i + 1) % 6}:
+                    A[i].append(x)
+                    placed = True
+                    break
+        elif len(hits) == 4:
+            missing = set(range(6)) - hits
+            lo = min(missing)
+            if missing == {lo, lo + 3}:
+                B[lo % 3].append(x)
+                placed = True
+        if not placed:
+            raise StructureViolation(
+                f"first-layer vertex {x} sees cycle positions {sorted(hits)}")
+    dec = C6Decomposition(
+        graph=g,
+        cycle=tuple(cyc),
+        A=tuple(tuple(sorted(part)) for part in A),
+        B=tuple(tuple(sorted(part)) for part in B),
+    )
+    return dec.validate()
+
+
+def _outcome(decompose, g):
+    try:
+        d = decompose(g)
+    except GraphGameError as exc:
+        return type(exc).__name__
+    return {f: getattr(d, f) for f in d.__dataclass_fields__ if f != "graph"}
+
+
+def test_decomposers_match_hitlist_placement(rng, all_le6, connected_le7):
+    """Placement around the seed cycle gives the decomposition of distance
+    layers and cycle hit lists, field by field, or the same error."""
+    graphs = all_le6 + connected_le7
+    for _ in range(600):
+        g = build_layered_c5_instance(rng)
+        if g is not None:
+            graphs.append(relabelled(rng, g))
+    graphs += [relabelled(rng, build_c6_form_instance(rng)[0]) for _ in range(300)]
+    graphs += [random_graph(rng, rng.randint(6, 10)) for _ in range(200)]
+    found = {"c5": collections.Counter(), "c6": collections.Counter()}
+    for g in graphs:
+        for name, new, old, deep in (
+                ("c5", decompose_p5k4kitebull, _hitlist_decompose_p5k4kitebull,
+                 lambda d: bool(d["V3"])),
+                ("c6", decompose_p6c5claw, _hitlist_decompose_p6c5claw,
+                 lambda d: any(d["B"]))):
+            got = _outcome(new, g)
+            assert got == _outcome(old, g), (name, g.edges())
+            if isinstance(got, str):
+                found[name][got] += 1
+            else:
+                # "deep": a third layer (C5) or a non-empty B class (C6)
+                found[name]["ok"] += 1
+                found[name]["deep"] += deep(got)
+    c5, c6 = found["c5"], found["c6"]
+    assert c5["ok"] >= 300 and c5["deep"] >= 50 and c5["NotInClass"] >= 150, c5
+    assert c5["NoInducedC5"] >= 1000 and c5["Disconnected"] >= 50, c5
+    assert c6["ok"] >= 250 and c6["deep"] >= 50 and c6["NotInClass"] >= 20, c6
+    assert c6["NoInducedC6"] >= 1000 and c6["Disconnected"] >= 50, c6
 
 
 # --- triangle-free classification ----------------------------------------------
@@ -587,6 +751,16 @@ def _grow_kc5_pod(g, seed):
     return [sorted(m) for m in modules]
 
 
+def _validate_kc5_modules(g, modules):
+    for i in range(5):
+        if not _is_clique(g, modules[i]):
+            raise StructureViolation("pod module is not a clique")
+        if not _complete_between(g, modules[i], modules[(i + 1) % 5]):
+            raise StructureViolation("adjacent pod modules not joined")
+        if not _empty_between(g, modules[i], modules[(i + 2) % 5]):
+            raise StructureViolation("distant pod modules adjacent")
+
+
 def test_decompose_p5c4_matches_greedy_seed_search(rng, all_le6, connected_le7):
     """One seed and one placement pass per pod give the decomposition of
     the multi-seed fixpoint growth, or the same error."""
@@ -628,3 +802,40 @@ def test_structure_violation_on_forged_decomposition():
                      n2_rest=d.n2_rest, V3=d.V3, xstar=d.xstar)
     with pytest.raises(StructureViolation):
         forged.validate()
+
+
+def _moved(modules, src, dst):
+    """modules with the last vertex of modules[src] moved to modules[dst]."""
+    out = [list(m) for m in modules]
+    out[dst] = sorted(out[dst] + [out[src].pop()])
+    return tuple(map(tuple, out))
+
+
+def test_forged_cycle_classes_are_rejected():
+    g = join(make_named("K", 1), independent_expansion(C5, (2, 1, 2, 1, 1)))
+    d = decompose_p5k4kitebull(g)
+    assert d.B == (0,)
+    a = list(d.A)
+    a[1], a[2] = a[2], a[1]
+    with pytest.raises(StructureViolation):
+        dataclasses.replace(d, A=tuple(a)).validate()
+    p4 = make_named("P", 4)
+    empty = C5Decomposition(graph=p4, cycle=(), A=((),) * 5, B=(), S=(),
+                            n2_rest=(0, 1, 2, 3), V3=(), xstar=None)
+    with pytest.raises(StructureViolation):
+        empty.validate()
+
+
+def test_forged_module_move_is_rejected():
+    d = decompose_p5c4(complete_expansion(C5, (2, 2, 1, 1, 1)))
+    (pod,) = d.pods
+    big = pod.sizes.index(2)
+    for dst in (big - 1, (big + 1) % 5):
+        forged = dataclasses.replace(pod, modules=_moved(pod.modules, big, dst))
+        with pytest.raises(StructureViolation):
+            dataclasses.replace(d, pods=(forged,)).validate()
+    d = decompose_p6c5claw(complete_expansion(C6, (2, 1, 1, 1, 1, 1)))
+    big = [len(a) for a in d.A].index(2)
+    for dst in (big - 1, (big + 1) % 6):
+        with pytest.raises(StructureViolation):
+            dataclasses.replace(d, A=_moved(d.A, big, dst)).validate()
