@@ -8,7 +8,7 @@ we can ask for the least winnable palette size chi_i and watch optimal play.
 
 from indicated.game import ann_wins, chi_exact, chi_i, play_match
 from indicated.graphs import complete_expansion, make_named
-from indicated.strategies import strat_solver_backed
+from indicated.strategies import Order, strat_solver_backed
 
 c5 = make_named("C", 5)
 
@@ -33,21 +33,10 @@ match = play_match(c5, 3, strat_solver_backed(c5, 3))
 print("match:", match.outcome, "moves:", match.moves)
 
 # A bad selector order loses on C4 with 2 colors: presenting the two ends
-# of a diagonal lets the adversary double-threaten the other two.
-from indicated.strategies import Strategy
-
-
-class DiagonalFirst(Strategy):
-    """A position policy: the first uncolored vertex of a fixed order."""
-
-    order = (0, 2, 1, 3)
-
-    def next_vertex(self, state):
-        return next(v for v in self.order if not state.colors[v])
-
-
+# of a diagonal lets the adversary double-threaten the other two.  Order is
+# the position policy "the first uncolored vertex of a fixed order".
 c4 = make_named("C", 4)
-match = play_match(c4, 2, DiagonalFirst())
+match = play_match(c4, 2, Order((0, 2, 1, 3)))
 print("bad order on C4, k=2:", match.outcome, "blocked vertex:", match.blocked)
 
 # Denser example: the balanced complete expansion of C5 on 10 vertices.

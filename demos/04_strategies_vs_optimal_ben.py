@@ -85,5 +85,5 @@ show("{P5,C4}-free with one pod", g, chi_exact(g), strat_p5c4(g, chi_exact(g)))
 host = union(c5, make_named("P", 4))
 strat = strat_union([(strat_cycle_expansion(c5, 3), c5),
                      (strat_solver_backed(make_named("P", 4), 3),
-                      make_named("P", 4))], 3)
+                      make_named("P", 4))])
 show("C5 u P4 by union composition", host, 3, strat)

@@ -52,7 +52,7 @@ from .structure import (
     recognize_expansion,
     sumner_classify,
 )
-from .strategies import STRATEGY_REGISTRY, strat_solver_backed
+from .strategies import STRATEGY_REGISTRY, Order, strat_solver_backed
 
 _NAMED_RE = re.compile(r"^([PCKW])(\d+)$", re.IGNORECASE)
 _EXPANSION_RE = re.compile(r"^(K|I)C(\d+):([\d,]+)$", re.IGNORECASE)
@@ -77,13 +77,21 @@ def parse_graph_spec(text):
     return parse_graph6(text)
 
 
-def _bipartite_solver(g, k):
+def _bipartite_solver(g, k, *, solve_limit):
     if is_bipartite(g) is None:
         raise NotApplicable("graph is not bipartite")
-    return strat_solver_backed(g, k)
+    return strat_solver_backed(g, k, solve_limit=solve_limit)
 
 
 _STRATEGIES = {**STRATEGY_REGISTRY, "bipartite-solver": _bipartite_solver}
+
+
+def _build_strategy(name, g, k, limit):
+    """The named strategy for (g, k); the solver-backed ones solve up to the
+    --limit size."""
+    if name in ("solver", "bipartite-solver"):
+        return _STRATEGIES[name](g, k, solve_limit=limit)
+    return _STRATEGIES[name](g, k)
 
 
 # ---------------------------------------------------------------------------
@@ -241,14 +249,13 @@ def parse_krange(spec):
 
 def _verify_one(payload):
     line, class_name, krange_spec, limit, budget = payload
-    factory = _STRATEGIES[class_name]
     recs = []
     try:
         g = parse_graph6(line)
         for k in parse_krange(krange_spec)(g):
             rec = {"graph6": line, "k": k, "strategy": class_name}
             try:
-                strat = factory(g, k)
+                strat = _build_strategy(class_name, g, k, limit)
                 match = play_match(g, k, strat, solve_limit=limit,
                                    node_budget=budget)
                 rec.update(reports.match_record(match))
@@ -286,22 +293,6 @@ def cmd_verify_class(args):
 # play
 # ---------------------------------------------------------------------------
 
-class _ScriptedSelector:
-    """Fixed presentation order ("scripted:0,2,...") for reproducing
-    walk-throughs: the first uncolored vertex of the order."""
-
-    name = "scripted"
-
-    def __init__(self, order):
-        self.order = order
-
-    def next_vertex(self, state):
-        for v in self.order:
-            if not state.colors[v]:
-                return v
-        raise GraphGameError("scripted selector ran out of vertices")
-
-
 def _int_list(text, what):
     try:
         return [int(x) for x in text.split(",")]
@@ -320,10 +311,9 @@ def cmd_play(args):
             if bad := [v for v in order if not 0 <= v < g.n]:
                 raise BadParam(f"scripted order names vertex {bad[0]} "
                                f"outside 0..{g.n - 1}")
-            strat = _ScriptedSelector(order)
+            strat = Order(order)
         else:
-            factory = _STRATEGIES[args.strategy]
-            strat = factory(g, args.k)
+            strat = _build_strategy(args.strategy, g, args.k, args.limit)
         ben = "optimal"
         if args.ben == "script":
             ben = _int_list(args.script, "--script") if args.script else []

@@ -9,11 +9,13 @@ Factories raise NotApplicable when the graph is outside the strategy's
 class and BoundViolated when the palette is below the strategy's
 guaranteed bound.
 
-Several strategies run sub-strategies on induced subgraphs over a virtual
-palette (a subset of the host colors).  The wrapper checks that every reply
-on the subgraph lands inside the virtual palette whenever the surrounding
-decomposition guarantees it, turning the correctness argument's claims into
-runtime assertions.
+Most plans are a presentation order: ``Order`` presents the first
+uncolored vertex of a fixed vertex sequence, after an optional guard has
+checked it.  Plans that play induced subgraphs chain phases with
+``PhasedStrategy``: a phase is an ``Order`` or a ``SubGamePhase``, which
+runs a sub-strategy on its subgraph over a virtual palette (a subset of the
+host colors) and checks that every reply lands inside that palette, turning
+the correctness argument's claims into runtime assertions.
 """
 
 from .detect import is_family_free
@@ -43,6 +45,7 @@ from .structure import (
 
 __all__ = [
     "Strategy",
+    "Order",
     "CounterLedger",
     "strat_degeneracy",
     "strat_cycle_expansion",
@@ -63,8 +66,6 @@ __all__ = [
 class Strategy:
     """Base selector policy."""
 
-    name = "strategy"
-
     def next_vertex(self, state):
         raise NotImplementedError
 
@@ -81,15 +82,17 @@ def _decompose_for_strategy(decomposer, g):
 # phase framework
 # ---------------------------------------------------------------------------
 
-class StaticPhase:
-    """Presents a fixed vertex list in order."""
+def _uncolored(state, vertices):
+    return [v for v in vertices if not state.colors[v]]
+
+
+class Order(Strategy):
+    """Presents the first uncolored vertex of a fixed order, after
+    guard(state, v), when given, has checked it."""
 
     def __init__(self, vertices, guard=None):
-        self.vertices = list(vertices)
+        self.vertices = tuple(vertices)
         self.guard = guard
-
-    def done(self, state):
-        return all(state.colors[v] for v in self.vertices)
 
     def next_vertex(self, state):
         for v in self.vertices:
@@ -97,7 +100,7 @@ class StaticPhase:
                 if self.guard is not None:
                     self.guard(state, v)
                 return v
-        raise StrategyInvariantViolation("phase already finished")
+        raise StrategyInvariantViolation("order ran out of uncolored vertices")
 
 
 class SubGamePhase:
@@ -109,15 +112,12 @@ class SubGamePhase:
     kept.
     """
 
-    def __init__(self, vertices, factory, palette=None, label=""):
+    def __init__(self, vertices, factory, label, palette=None):
         self.vertices = tuple(sorted(vertices))
         self.factory = factory
         self.palette_fn = palette
         self.label = label
         self._sub = None
-
-    def done(self, state):
-        return all(state.colors[v] for v in self.vertices)
 
     def next_vertex(self, state):
         if self.palette_fn is None:
@@ -130,15 +130,15 @@ class SubGamePhase:
         graph, size, sub = self._sub
         if len(palette) != size:
             raise StrategyInvariantViolation(
-                f"{self.label or 'sub-play'}: virtual palette of {len(palette)} "
-                f"colors, but the sub-strategy was built for {size}")
+                f"{self.label}: virtual palette of {len(palette)} colors, but "
+                f"the sub-strategy was built for {size}")
         colors = []
         for v in self.vertices:
             c = state.colors[v]
             if c and c not in palette:
                 raise StructureViolation(
-                    f"{self.label or 'sub-play'}: reply color {c} outside the "
-                    f"virtual palette {palette}")
+                    f"{self.label}: reply color {c} outside the virtual "
+                    f"palette {palette}")
             colors.append(palette.index(c) + 1 if c else 0)
         local = sub.next_vertex(GameState(graph, len(palette), colors))
         return self.vertices[local]
@@ -156,15 +156,15 @@ def _palette_without(vertices, what):
 
 
 class PhasedStrategy(Strategy):
-    """Plays the first phase whose vertices are not all colored."""
+    """Plays the first phase (an Order or a SubGamePhase) that still has an
+    uncolored vertex."""
 
-    def __init__(self, name, phases):
-        self.name = name
+    def __init__(self, phases):
         self.phases = list(phases)
 
     def next_vertex(self, state):
         for phase in self.phases:
-            if not phase.done(state):
+            if not all(state.colors[v] for v in phase.vertices):
                 return phase.next_vertex(state)
         raise StrategyInvariantViolation("all phases finished but game continues")
 
@@ -179,7 +179,7 @@ def strat_degeneracy(g, k):
     res = degeneracy(g)
     if k < res.col:
         raise BoundViolated(f"need k >= col = {res.col}, got {k}")
-    return PhasedStrategy("degeneracy", [StaticPhase(list(reversed(res.order)))])
+    return Order(reversed(res.order))
 
 
 def strat_solver_backed(g, k, *, solve_limit=DEFAULT_SOLVE_LIMIT):
@@ -193,8 +193,6 @@ def strat_solver_backed(g, k, *, solve_limit=DEFAULT_SOLVE_LIMIT):
 
 
 class _SolverStrategy(Strategy):
-    name = "solver"
-
     def __init__(self, solver):
         self.solver = solver
 
@@ -225,7 +223,7 @@ def strat_cycle_expansion(g, k):
         raise BoundViolated(f"need k >= {chi}, got {k}")
     reps = [mod[0] for mod in structure.modules]
     rest = sorted(v for mod in structure.modules for v in mod[1:])
-    return PhasedStrategy("cycle-expansion", [StaticPhase(reps), StaticPhase(rest)])
+    return Order(reps + rest)
 
 
 # ---------------------------------------------------------------------------
@@ -256,14 +254,9 @@ def strat_kc6(g, k):
 
 
 class _KC6Strategy(Strategy):
-    name = "kc6"
-
     def __init__(self, k, modules):
         self.k = k
         self.modules = modules
-
-    def _uncolored(self, state, idx):
-        return [v for v in self.modules[idx] if not state.colors[v]]
 
     def next_vertex(self, state):
         for part in (sorted(self.modules[0] + self.modules[1]), self.modules[2],
@@ -274,8 +267,8 @@ class _KC6Strategy(Strategy):
         # m4's legal colors avail(4) are the palette minus those on m3, m4
         # and m5.  Every m4 reply takes one of them, so this slack never
         # grows back: once m3 stops, it waits until m4 is done.
-        m3_left = self._uncolored(state, 3)
-        m4_left = self._uncolored(state, 4)
+        m3_left = _uncolored(state, self.modules[3])
+        m4_left = _uncolored(state, self.modules[4])
         taken = {state.colors[v] for j in (3, 4, 5) for v in self.modules[j]} - {0}
         slack = self.k - len(taken) - len(m4_left)
         if m3_left and slack > 0:
@@ -379,7 +372,7 @@ def strat_kc5(g, k):
     if 2 * omega >= g.n:
         mods = _rotate_modules(structure, lambda s: (-(s[0] + s[1]), s))
         order = sorted(mods[0] + mods[1]) + list(mods[2]) + list(mods[4]) + list(mods[3])
-        return PhasedStrategy("kc5", [StaticPhase(order)])
+        return Order(order)
     mods = _rotate_modules(structure, lambda s: (0 if s[2] >= s[3] else 1, s))
     if len(mods[2]) < len(mods[3]):
         raise StrategyInvariantViolation("rotation failed to order the scan pair")
@@ -393,9 +386,7 @@ class _KC5LedgerStrategy(Strategy):
     (3,4) pair has no slack.  Cases 1 and 2 then finish m1 (case 2 also
     the rest of m2) and pair m3 with m4; case 3 pairs m3 with m4, then m1
     with m2.  The stage is read off which modules are untouched, partial
-    or done."""
-
-    name = "kc5"
+    or done.  A pair plays the side with less slack first."""
 
     def __init__(self, g, k, modules):
         self.g = g
@@ -403,49 +394,33 @@ class _KC5LedgerStrategy(Strategy):
         self.modules = modules
         self.ledger = CounterLedger(k, modules)
 
-    def _uncolored(self, state, idx):
-        return [v for v in self.modules[idx] if not state.colors[v]]
-
-    def _present(self, state, idx):
-        vals = self.ledger.values(state)
-        if self.ledger.single(vals, idx) < 0:
-            raise StrategyInvariantViolation(
-                f"module {idx} has fewer shared colors than uncolored vertices")
-        return self._uncolored(state, idx)[0]
-
-    def _pair(self, state, i, j):
-        vals = self.ledger.values(state)
-        left_i = self._uncolored(state, i)
-        left_j = self._uncolored(state, j)
-        side = i
-        if not left_i:
-            side = j
-        elif left_j and self.ledger.single(vals, j) < self.ledger.single(vals, i):
-            side = j
-        return self._present(state, side)
-
     def next_vertex(self, state):
         led = self.ledger
-        left = [self._uncolored(state, i) for i in range(5)]
+        left = [_uncolored(state, mod) for mod in self.modules]
         if left[0]:
             return left[0][0]
         untouched = [len(left[i]) == len(self.modules[i]) for i in range(5)]
         if all(untouched[1:]):
             led.check_star(state)
+        vals = led.values(state)
+
+        def pair(i, j):
+            if not left[i] or left[j] and led.single(vals, j) < led.single(vals, i):
+                return j
+            return i
+
         if untouched[1] and untouched[3] and untouched[4]:
             # scanning m2 until a stop rule fires
-            vals = led.values(state)
-            if not left[2]:                       # case 1
-                return self._present(state, 1)
-            if led.single(vals, 1) == 0:          # case 2
-                return self._present(state, 1)
-            if led.union(vals, 3, 4) == 0:        # case 3
-                return self._pair(state, 3, 4)
-            return self._present(state, 2)
-        if untouched[3] and untouched[4]:
+            if not left[2] or led.single(vals, 1) == 0:   # cases 1 and 2
+                side = 1
+            elif led.union(vals, 3, 4) == 0:             # case 3
+                side = pair(3, 4)
+            else:
+                side = 2
+        elif untouched[3] and untouched[4]:
             if left[1]:
-                return self._present(state, 1)
-            if left[2]:
+                side = 1
+            elif left[2]:
                 # Only case 2 gets here.  m1 had no spare shared color when
                 # the scan stopped, so m0, m1 and m2 now carry every color:
                 # that pins the (3,4) pair's slack at 2k-n once m2 is done.
@@ -453,59 +428,61 @@ class _KC5LedgerStrategy(Strategy):
                 if not on.issuperset(range(1, self.k + 1)):
                     raise StrategyInvariantViolation(
                         f"case 2: m0, m1 and m2 leave colors of 1..{self.k} unused")
-                return self._present(state, 2)
-            return self._pair(state, 3, 4)
-        if left[3] or left[4]:
-            return self._pair(state, 3, 4)
-        if left[1] or left[2]:                    # case 3's last pairing
-            self._check_final_slack(state, 1, 2)
-            return self._pair(state, 1, 2)
-        raise StrategyInvariantViolation("no vertex left to present")
-
-    def _check_final_slack(self, state, i, j):
-        """In the last pairing phase the pair's slack must be exactly
-        2k - n: the scanned module consumed everything else, and a ply
-        inside the pair keeps it."""
-        vals = self.ledger.values(state)
-        want = 2 * self.k - self.g.n
-        got = self.ledger.union(vals, i, j)
-        if got != want:
+                side = 2
+            else:
+                side = pair(3, 4)
+        elif left[3] or left[4]:
+            side = pair(3, 4)
+        elif left[1] or left[2]:
+            # case 3's last pairing: the pair's slack must be exactly 2k - n,
+            # since the scanned module consumed everything else and a ply
+            # inside the pair keeps it
+            want = 2 * self.k - self.g.n
+            got = led.union(vals, 1, 2)
+            if got != want:
+                raise StrategyInvariantViolation(
+                    f"pair (1,2) slack {got} != 2k-n = {want}")
+            if want < 0:
+                raise StrategyInvariantViolation(f"2k-n negative: {want}")
+            side = pair(1, 2)
+        else:
+            raise StrategyInvariantViolation("no vertex left to present")
+        if led.single(vals, side) < 0:
             raise StrategyInvariantViolation(
-                f"pair ({i},{j}) slack {got} != 2k-n = {want}")
-        if want < 0:
-            raise StrategyInvariantViolation(f"2k-n negative: {want}")
+                f"module {side} has fewer shared colors than uncolored vertices")
+        return left[side][0]
 
 
 # ---------------------------------------------------------------------------
 # composition
 # ---------------------------------------------------------------------------
 
-def strat_union(parts, k):
+def _sub_games(blocks, label):
+    """Plays each (vertices, built strategy) block to completion in turn."""
+    return PhasedStrategy(SubGamePhase(vertices, lambda gg, kk, s=strat: s, label)
+                          for vertices, strat in blocks)
+
+
+def strat_union(parts):
     """Compose per-component strategies over a disjoint-union layout.
 
     parts: (strategy, graph) pairs whose graphs occupy consecutive id blocks
     of the host (the layout produced by graphs.union); each component is
     played to completion in block order, which is ascending least-id order.
     """
-    phases = []
+    blocks = []
     offset = 0
     for strat, g in parts:
-        block = range(offset, offset + g.n)
-        phases.append(SubGamePhase(block, lambda gg, kk, s=strat: s,
-                                   label="union part"))
+        blocks.append((range(offset, offset + g.n), strat))
         offset += g.n
-    return PhasedStrategy("union", phases)
+    return _sub_games(blocks, "union part")
 
 
 def strat_components(g, k, factory):
     """One sub-strategy per connected component (built eagerly so class and
     bound errors surface now), components in ascending least-id order."""
-    phases = []
-    for comp in components(g):
-        sub = factory(induced(g, comp), k)
-        phases.append(SubGamePhase(comp, lambda gg, kk, s=sub: s,
-                                   label="component"))
-    return PhasedStrategy("components", phases)
+    return _sub_games([(comp, factory(induced(g, comp), k)) for comp in components(g)],
+                      "component")
 
 
 # ---------------------------------------------------------------------------
@@ -530,9 +507,7 @@ def strat_p5k4kitebull(g, k):
         return strat_cycle_expansion(g, k)
     b = dec.B[0]
     xstar = dec.xstar
-    phases = [StaticPhase([b])]
-    if dec.V3:
-        phases.append(StaticPhase([xstar]))
+    phases = [Order([b, xstar] if dec.V3 else [b])]
 
     def sub_factory(gg, kk):
         try:
@@ -540,20 +515,11 @@ def strat_p5k4kitebull(g, k):
         except NotApplicable:
             return strat_solver_backed(gg, kk)
 
-    v1 = dec.V1
-    if v1:
-        sub = induced(g, v1)
-        for comp in components(sub):
-            phases.append(SubGamePhase([v1[i] for i in comp], sub_factory,
-                                       palette=_palette_without([b], f"anchor vertex {b}"),
-                                       label="first block"))
-    if dec.V3:
-        sub = induced(g, dec.V3)
-        for comp in components(sub):
-            phases.append(SubGamePhase([dec.V3[i] for i in comp], sub_factory,
+    for block, anchor, label in ((dec.V1, b, "first block"), (dec.V3, xstar, "third layer")):
+        for comp in components(induced(g, block)):
+            phases.append(SubGamePhase([block[i] for i in comp], sub_factory, label,
                                        palette=_palette_without(
-                                           [xstar], f"anchor vertex {xstar}"),
-                                       label="third layer"))
+                                           [anchor], f"anchor vertex {anchor}")))
     leftovers = sorted((set(dec.B) | set(dec.S)) - {b, xstar})
     if leftovers:
         bset = set(dec.B)
@@ -567,8 +533,8 @@ def strat_p5k4kitebull(g, k):
                     f"color of {'b' if v in bset else 'apex'} not open for "
                     f"leftover vertex {v}")
 
-        phases.append(StaticPhase(leftovers, guard=guard))
-    return PhasedStrategy("p5k4kitebull", phases)
+        phases.append(Order(leftovers, guard=guard))
+    return PhasedStrategy(phases)
 
 
 # ---------------------------------------------------------------------------
@@ -608,10 +574,10 @@ def strat_split_c5(g, k):
             raise StrategyInvariantViolation(
                 f"no clique-part non-neighbor color open for {v}")
 
-    phases = [SubGamePhase(core, strat_kc5, label="clique parts")]
+    phases = [SubGamePhase(core, strat_kc5, "clique parts")]
     if rest:
-        phases.append(StaticPhase(rest, guard=guard))
-    return PhasedStrategy("split-c5", phases)
+        phases.append(Order(rest, guard=guard))
+    return PhasedStrategy(phases)
 
 
 def strat_split_c5_plus_clique(g, k):
@@ -631,11 +597,10 @@ def strat_split_c5_plus_clique(g, k):
     chi = t + chi_exact(restg)
     if k < chi:
         raise BoundViolated(f"need k >= {chi}, got {k}")
-    return PhasedStrategy("split-c5-clique", [
-        StaticPhase(sorted(universal)),
-        SubGamePhase(rest, strat_split_c5,
-                     palette=_palette_without(universal, "universal clique"),
-                     label="expansion part"),
+    return PhasedStrategy([
+        Order(sorted(universal)),
+        SubGamePhase(rest, strat_split_c5, "expansion part",
+                     palette=_palette_without(universal, "universal clique")),
     ])
 
 
@@ -653,14 +618,12 @@ def strat_p5c4(g, k):
         raise BoundViolated(f"need k >= {chi}, got {k}")
     phases = []
     if dec.chordal_part:
-        phases.append(SubGamePhase(dec.chordal_part, strat_degeneracy,
-                                   label="chordal part"))
+        phases.append(SubGamePhase(dec.chordal_part, strat_degeneracy, "chordal part"))
     for pod in dec.pods:
-        phases.append(SubGamePhase(pod.vertices, strat_kc5,
+        phases.append(SubGamePhase(pod.vertices, strat_kc5, "pod",
                                    palette=_palette_without(pod.clique_nbhd,
-                                                            "pod neighborhood"),
-                                   label="pod"))
-    return PhasedStrategy("p5c4", phases)
+                                                            "pod neighborhood")))
+    return PhasedStrategy(phases)
 
 
 # ---------------------------------------------------------------------------

@@ -327,6 +327,8 @@ class C5Decomposition:
         if not _empty_between(g, a_all, self.n2_rest):
             raise StructureViolation("cycle classes touch the second layer")
         _check_modules(g, self.A, ("independent",) * 5)
+        if len(self.cycle) != 5 or any(c not in a for c, a in zip(self.cycle, self.A)):
+            raise StructureViolation("A_i does not hold cycle[i]")
         core = induced(g, v1 + v3) if v1 or v3 else None
         if core is not None:
             _check_ic5_or_bipartite_components(core)
@@ -421,6 +423,8 @@ class C6Decomposition:
         if sorted(pieces) != list(range(g.n)):
             raise StructureViolation("blocks do not partition V")
         _check_modules(g, self.A, ("complete",) * 6)
+        if len(self.cycle) != 6 or any(c not in a for c, a in zip(self.cycle, self.A)):
+            raise StructureViolation("A_i does not hold cycle[i]")
         for j in range(3):
             if not _is_clique(g, self.B[j]):
                 raise StructureViolation(f"B_{j} is not a clique")

@@ -151,6 +151,30 @@ def test_play_scripted_ben_loss():
     assert parse_report(out)["records"][0]["outcome"] == "ANN_WINS"
 
 
+def test_solver_strategies_take_the_limit():
+    """--limit reaches the solver-backed strategies, not only the adversary."""
+    too_large = "TooLarge: n=15 exceeds solve limit 14"
+    code, out = run_cli(["play", "P15", "2", "solver"])
+    assert code == 2 and parse_report(out)["error"] == too_large
+    code, out = run_cli(["play", "P15", "2", "solver", "--limit", "16"])
+    assert code == 0 and parse_report(out)["records"][0]["outcome"] == "ANN_WINS"
+    p15 = write_graph6(make_named("P", 15))
+    for name in ("solver", "bipartite-solver"):
+        for limit, want in (([], {"error": too_large}),
+                            (["--limit", "16"], {"outcome": "ANN_WINS"})):
+            _, out = run_cli(["verify-class", "-", name, "--krange", "2"] + limit,
+                             stdin=p15)
+            (rec,) = parse_report(out)["records"]
+            assert want.items() <= rec.items(), rec
+
+
+def test_play_scripted_order_too_short_exits_2():
+    code, out = run_cli(["play", "C5", "3", "scripted:0"])
+    assert code == 2
+    assert parse_report(out)["error"] == \
+        "StrategyInvariantViolation: order ran out of uncolored vertices"
+
+
 def test_play_unknown_strategy():
     code, _ = run_cli(["play", "C5", "3", "nope"])
     assert code == 2
@@ -396,10 +420,22 @@ def test_check_chordal_equality_full_corpus():
      "68f47cdee371cb224da980867e09243ab403d413159d32a6b3d699dab6b16f26"),
     (["analyze", "IzCKJmYz?", "--decompose", "p6c5claw"],
      "716338e66e898a23b65f3f06cf9a57eb8b0343327ad80ce7fdc0a64a106b34bc"),
+    (["verify-class", "connected_le7.g6", "kc5", "--krange", "chi..chi+1"],
+     "aa318cc1170f64e5508e15a5754a65429644f36ddc59f6a7ba98702838b25f25"),
+    (["verify-class", "connected_le7.g6", "kc6", "--krange", "chi..chi+1"],
+     "64d788d0cdf8d139b29fbd83ee8d9387bc77fbd71bd197bbe0754de963c7ee62"),
+    (["verify-class", "connected_le7.g6", "p5c4", "--krange", "chi..chi+1"],
+     "daf713d5472a7bc028bff81bdf58a0ed12fbcd80a37d1c5f16dca67e8dbe34ef"),
+    (["verify-class", "connected_le7.g6", "p5k4kitebull", "--krange", "chi..chi+1"],
+     "bc86c8b7d331a5eed4a504f99a66e322138b6eb6102342968781dfe496f80bab"),
+    (["verify-class", "connected_le7.g6", "split-c5-clique", "--krange", "chi..chi+1"],
+     "605befc0deae53ac1786b71d2b5d5397728d1276f0081ebee5a36601b79558a9"),
 ], ids=["sandwich", "kc5-exact", "petersen-exact", "p5c4-two-pods",
-        "p5k4kitebull-apex", "p6c5claw-three-b"])
+        "p5k4kitebull-apex", "p6c5claw-three-b", "verify-kc5", "verify-kc6",
+        "verify-p5c4", "verify-p5k4kitebull", "verify-split-c5-clique"])
 def test_golden_report_hashes(argv, digest):
-    """A change to the search keeps every canonical report byte-identical."""
+    """A change to the search or to a strategy keeps every canonical report
+    byte-identical: the verify-class rows pin each class plan's moves."""
     from conftest import DATA
 
     argv = [str(DATA / a) if a.endswith(".g6") else a for a in argv]

@@ -1,6 +1,7 @@
-"""Static checks over the package source: every import is used and every
+"""Static checks over the package source: every import is used, every
 private function, class or method is referenced somewhere in the package,
-so code that a change leaves behind shows up as a failure."""
+and every public function or method reads each of its parameters, so code
+that a change leaves behind shows up as a failure."""
 
 import ast
 from pathlib import Path
@@ -68,12 +69,47 @@ def unreferenced_privates(sources):
     return out
 
 
+def _only_raises_not_implemented(body):
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]    # docstring
+    if len(body) != 1 or not isinstance(body[0], ast.Raise):
+        return False
+    exc = body[0].exc
+    exc = exc.func if isinstance(exc, ast.Call) else exc
+    return isinstance(exc, ast.Name) and exc.id == "NotImplementedError"
+
+
+def unread_parameters(sources):
+    """file:line function(parameter) for each parameter, other than self and
+    cls, that a public function or method (nested ones included) never
+    reads; dunder methods and abstract stubs that only raise
+    NotImplementedError are exempt."""
+    out = []
+    for fname, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_") \
+                    or _only_raises_not_implemented(node.body):
+                continue
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + \
+                [p for p in (a.vararg, a.kwarg) if p is not None]
+            out += [f"{fname}:{node.lineno} {node.name}({p.arg})" for p in params
+                    if p.arg not in read and p.arg not in ("self", "cls")]
+    return out
+
+
 def test_package_has_no_unused_imports():
     assert unused_imports(_package_sources()) == []
 
 
 def test_package_has_no_unreferenced_private_definitions():
     assert unreferenced_privates(_package_sources()) == []
+
+
+def test_public_functions_read_every_parameter():
+    assert unread_parameters(_package_sources()) == []
 
 
 def test_source_checks_catch_leftovers():
@@ -98,3 +134,22 @@ def test_source_checks_catch_leftovers():
     assert unused_imports({"m.py": leftover}) == ["m.py:1 os"]
     assert unreferenced_privates({"m.py": leftover}) == \
         ["m.py:15 _bfs_layers", "m.py:12 _unused"]
+    unread = (
+        "def strat_union(parts, k, *rest, scale=1):\n"
+        "    def guard(state, v):\n"
+        "        return parts[v] * scale\n"
+        "    return guard\n"
+        "\n"
+        "class Strategy:\n"
+        "    def __init__(self, name):\n"
+        "        pass\n"
+        "\n"
+        "    def next_vertex(self, state):\n"
+        "        \"\"\"Abstract.\"\"\"\n"
+        "        raise NotImplementedError\n"
+        "\n"
+        "    def _private(self, state):\n"
+        "        return 0\n"
+    )
+    assert unread_parameters({"m.py": unread}) == [
+        "m.py:1 strat_union(k)", "m.py:1 strat_union(rest)", "m.py:2 guard(state)"]

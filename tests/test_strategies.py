@@ -545,7 +545,7 @@ def _replay_instance(name):
     assert set(instances) == set(STRATEGY_REGISTRY)
     if name == "union":
         return union(C5, p4), 3, lambda: strat_union(
-            [(strat_cycle_expansion(C5, 3), C5), (strat_solver_backed(p4, 3), p4)], 3)
+            [(strat_cycle_expansion(C5, 3), C5), (strat_solver_backed(p4, 3), p4)])
     if name == "components":
         g = union(C6, kc6)
         return g, 4, lambda: strat_components(g, 4, strat_kc6)
@@ -571,14 +571,14 @@ def test_union_strategy():
     p4 = make_named("P", 4)
     host = union(C5, p4)
     strat = strat_union([(strat_cycle_expansion(C5, 3), C5),
-                         (strat_solver_backed(p4, 3), p4)], 3)
+                         (strat_solver_backed(p4, 3), p4)])
     win(host, 3, strat)
     k3 = make_named("K", 3)
     host = union(k3, k3)
     win(host, 3, strat_union([(strat_degeneracy(k3, 3), k3),
-                              (strat_degeneracy(k3, 3), k3)], 3))
+                              (strat_degeneracy(k3, 3), k3)]))
     with pytest.raises(NotWinnable):
-        strat_union([(strat_solver_backed(C5, 2), C5)], 2)
+        strat_union([(strat_solver_backed(C5, 2), C5)])
 
 
 def test_components_strategy():
@@ -599,7 +599,7 @@ def test_p5k4kitebull_strategy_wheel():
 def test_p5k4kitebull_strategy_delegates_unit_case():
     g = independent_expansion(C5, (2, 1, 1, 1, 1))
     strat = strat_p5k4kitebull(g, 3)
-    assert strat.name == "cycle-expansion"
+    assert strat.vertices == strat_cycle_expansion(g, 3).vertices
     win(g, 3, strat)
 
 
@@ -776,10 +776,10 @@ def test_union_composition_matches_solver(rng):
         host = union(g1, g2)
         if w1 and w2:
             strat = strat_union([(strat_solver_backed(g1, k), g1),
-                                 (strat_solver_backed(g2, k), g2)], k)
+                                 (strat_solver_backed(g2, k), g2)])
             assert play_match(host, k, strat).ann_won
             assert ann_wins(host, k, want_line=False).ann_wins
         else:
             with pytest.raises(NotWinnable):
                 strat_union([(strat_solver_backed(g1, k), g1),
-                             (strat_solver_backed(g2, k), g2)], k)
+                             (strat_solver_backed(g2, k), g2)])

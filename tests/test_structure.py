@@ -30,9 +30,10 @@ from indicated.graphs import (
     join,
     make_named,
     mask_of,
+    parse_graph6,
     union,
 )
-from indicated.strategies import PhasedStrategy, StaticPhase, strat_cycle_expansion
+from indicated.strategies import strat_cycle_expansion
 from indicated.structure import (
     C5Decomposition,
     C6Decomposition,
@@ -268,7 +269,7 @@ def _seeded_strat_cycle_expansion(g, k):
         raise BoundViolated(f"need k >= {chi}, got {k}")
     reps = [mod[0] for mod in structure.modules]
     rest = sorted(v for mod in structure.modules for v in mod[1:])
-    return PhasedStrategy("cycle-expansion", [StaticPhase(reps), StaticPhase(rest)])
+    return reps + rest
 
 
 def test_recognize_expansion_matches_seeded_search(rng):
@@ -306,11 +307,11 @@ def test_recognize_expansion_matches_seeded_search(rng):
                 found[allowed, n >= 5, new.modules[0] == tuple(range(len(new.modules[0])))] += 1
                 found["mixed"] += len(set(new.kinds)) > 1
         try:
-            old = [p.vertices for p in _seeded_strat_cycle_expansion(g, 3).phases]
+            old = tuple(_seeded_strat_cycle_expansion(g, 3))
         except (BadParam, NotApplicable) as exc:
             old = NotApplicable if g.n >= 9 else type(exc)
         try:
-            new = [p.vertices for p in strat_cycle_expansion(g, 3).phases]
+            new = strat_cycle_expansion(g, 3).vertices
         except NotApplicable:
             new = NotApplicable
         assert new == old, g.edges()
@@ -824,6 +825,23 @@ def test_forged_cycle_classes_are_rejected():
                             n2_rest=(0, 1, 2, 3), V3=(), xstar=None)
     with pytest.raises(StructureViolation):
         empty.validate()
+
+
+def test_modules_rotated_or_reflected_against_the_cycle_are_rejected():
+    """A_i must hold cycle[i]: rotating or reflecting A keeps its cyclic
+    order, so the module check alone accepts it."""
+    d = decompose_p5k4kitebull(join(make_named("K", 1),
+                                    independent_expansion(C5, (2, 1, 2, 1, 1))))
+    c6 = decompose_p6c5claw(complete_expansion(C6, (2, 1, 1, 1, 1, 1)))
+    three_b = decompose_p6c5claw(parse_graph6("IzCKJmYz?"))
+    assert all(three_b.B)
+    forgeries = [(d, d.A[1:] + d.A[:1]), (d, d.A[::-1])]
+    forgeries += [(c6, c6.A[r:] + c6.A[:r]) for r in range(1, 6)]
+    forgeries += [(three_b, three_b.A[3:] + three_b.A[:3])]
+    for dec, forged in forgeries:
+        dec.validate()
+        with pytest.raises(StructureViolation):
+            dataclasses.replace(dec, A=forged).validate()
 
 
 def test_forged_module_move_is_rejected():
