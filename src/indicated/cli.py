@@ -9,6 +9,8 @@ import re
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
+from functools import partial
 
 from . import reports
 from .detect import (
@@ -156,7 +158,7 @@ def cmd_analyze(args):
             return to_dot(g), 0
         graph6 = write_graph6(g)
     except GraphGameError as exc:
-        return _error_report("analyze", f"{type(exc).__name__}: {exc}"), 2
+        return _error_report("analyze", _error_text(exc)), 2
     rec = {
         "graph6": graph6,
         "n": g.n,
@@ -181,7 +183,9 @@ def cmd_analyze(args):
             rec["decompose_error"] = str(exc)
             rec["ok"] = False
     if args.exact:
-        kmax = args.kmax or min(g.n, rec["max_degree"] + 1) or 1
+        kmax = args.kmax
+        if kmax is None:
+            kmax = min(g.n, rec["max_degree"] + 1) or 1
         try:
             res = chi_i(g, kmax, solve_limit=args.limit, node_budget=args.budget)
             rec["chi_i"] = res.chi_i
@@ -220,39 +224,33 @@ _KTERM_RE = re.compile(r"^(chi|col|\d+)(?:\+(\d+))?$")
 
 def parse_krange(spec):
     """Palette range like "chi", "chi..chi+2", "2..5", "col..col+1";
-    returns a function graph -> list of k."""
-    parts = spec.split("..")
-    if len(parts) > 2 or not all(_KTERM_RE.match(p) for p in parts):
+    returns a function graph -> list of k.  A numeric range must not be
+    empty."""
+    matches = [_KTERM_RE.match(p) for p in spec.split("..")]
+    if len(matches) > 2 or not all(matches):
         raise ValueError(f"bad krange: {spec!r}")
-
-    def term(p, g, cache):
-        m = _KTERM_RE.match(p)
-        base, plus = m.group(1), int(m.group(2) or 0)
-        if base == "chi":
-            if "chi" not in cache:
-                cache["chi"] = chi_exact(g)
-            return cache["chi"] + plus
-        if base == "col":
-            if "col" not in cache:
-                cache["col"] = degeneracy(g).col
-            return cache["col"] + plus
-        return int(base) + plus
+    terms = [(m.group(1), int(m.group(2) or 0)) for m in matches]
 
     def krange(g):
-        cache = {}
-        lo = term(parts[0], g, cache)
-        hi = term(parts[-1], g, cache)
-        return list(range(lo, hi + 1))
+        value = {b: chi_exact(g) if b == "chi" else
+                 degeneracy(g).col if b == "col" else int(b)
+                 for b in {b for b, _ in terms}}
+        (lo, lo_plus), (hi, hi_plus) = terms[0], terms[-1]
+        return list(range(value[lo] + lo_plus, value[hi] + hi_plus + 1))
 
+    if all(b.isdigit() for b, _ in terms) and not krange(None):
+        raise ValueError(f"bad krange: {spec!r} is empty")
     return krange
 
 
-def _verify_one(payload):
-    line, class_name, krange_spec, limit, budget = payload
+def _verify_one(class_name, krange_spec, limit, budget, line):
     recs = []
     try:
         g = parse_graph6(line)
-        for k in parse_krange(krange_spec)(g):
+        ks = parse_krange(krange_spec)(g)
+        if not ks:
+            raise BadParam(f"krange {krange_spec!r} is empty on this graph")
+        for k in ks:
             rec = {"graph6": line, "k": k, "strategy": class_name}
             try:
                 strat = _build_strategy(class_name, g, k, limit)
@@ -276,17 +274,9 @@ def cmd_verify_class(args):
         parse_krange(args.krange)
     except ValueError as exc:
         return _error_report("verify_class", str(exc)), 2
-    try:
-        lines = _read_corpus(args.corpus)
-    except OSError as exc:
-        return _error_report("verify_class", str(exc)), 2
-    payloads = [(ln, args.strategy_class, args.krange, args.limit, args.budget)
-                for ln in lines]
-    records = []
-    for recs in _map_jobs(_verify_one, payloads, args.jobs):
-        records.extend(recs)
-    return reports.make_report("verify_class", records,
-                               extra={"class": args.strategy_class}), None
+    verify = partial(_verify_one, args.strategy_class, args.krange, args.limit,
+                     args.budget)
+    return _run_corpus("verify_class", args, verify, {"class": args.strategy_class})
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +312,7 @@ def cmd_play(args):
     except KeyError:
         return _error_report("play", f"unknown strategy {args.strategy!r}"), 2
     except GraphGameError as exc:
-        return _error_report("play", f"{type(exc).__name__}: {exc}"), 2
+        return _error_report("play", _error_text(exc)), 2
     rec = reports.match_record(match, graph6=graph6, strategy=args.strategy)
     report = reports.make_report("play", [rec])
     return report, None
@@ -332,83 +322,71 @@ def cmd_play(args):
 # enumerate-check
 # ---------------------------------------------------------------------------
 
-def _check_sandwich(line, kmax, limit, budget):
-    g = parse_graph6(line)
+def _check_sandwich(g, limit, budget):
     omega = omega_exact(g)
     chi = chi_exact(g)
     dmax = max((g.degree(v) for v in range(g.n)), default=0)
     res = chi_i(g, max(dmax + 1, 1), solve_limit=limit, node_budget=budget)
     ok = omega <= chi <= res.chi_i <= dmax + 1
-    return {"graph6": line, "omega": omega, "chi": chi, "chi_i": res.chi_i,
-            "max_degree": dmax, "ok": ok}
+    return {"omega": omega, "chi": chi, "chi_i": res.chi_i, "max_degree": dmax,
+            "ok": ok}
 
 
-def _check_chordal_equality(line, kmax, limit, budget):
-    g = parse_graph6(line)
+def _check_chordal_equality(g, kmax, limit, budget):
     if is_chordal(g) is None:
-        return {"graph6": line, "skipped": "not chordal", "ok": True}
+        return {"skipped": "not chordal", "ok": True}
     omega = omega_exact(g)
     chi = chi_exact(g)
-    top = kmax or max(g.n, chi)
-    res = chi_i(g, max(top, chi), solve_limit=limit, node_budget=budget)
+    top = max(g.n, chi) if kmax is None else max(kmax, chi)
+    res = chi_i(g, top, solve_limit=limit, node_budget=budget)
     ok = res.chi_i == chi == omega and all(
-        res.winnable[k] for k in range(chi, max(top, chi) + 1))
-    return {"graph6": line, "omega": omega, "chi": chi, "chi_i": res.chi_i, "ok": ok}
+        res.winnable[k] for k in range(chi, top + 1))
+    return {"omega": omega, "chi": chi, "chi_i": res.chi_i, "ok": ok}
 
 
-def _check_formula_kc5(line, kmax, limit, budget):
-    g = parse_graph6(line)
+def _check_formula_kc5(g):
     es = recognize_expansion(g, make_named("C", 5), allowed=("complete",))
     if es is None:
-        return {"graph6": line, "error": "not a complete expansion of C5"}
+        return {"error": "not a complete expansion of C5"}
     want = chi_formula_kc5(es.sizes)
     got = chi_exact(g)
-    return {"graph6": line, "sizes": list(es.sizes), "formula": want,
-            "chi": got, "ok": want == got}
+    return {"sizes": list(es.sizes), "formula": want, "chi": got, "ok": want == got}
 
 
-def _check_detector_oracle(line, kmax, limit, budget):
-    g = parse_graph6(line)
+def _check_detector_oracle(g):
     disagreements = []
     for pat in family_figure1():
         fast = find_induced(g, pat) is not None
         slow = brute_force_induced(g, pat)
         if fast != slow:
             disagreements.append(write_graph6(pat))
-    return {"graph6": line, "ok": not disagreements,
-            "disagreements": disagreements}
+    return {"ok": not disagreements, "disagreements": disagreements}
 
 
+# name -> (check, the flags it reads)
 _INVARIANTS = {
-    "sandwich": _check_sandwich,
-    "chordal-equality": _check_chordal_equality,
-    "formula-kc5": _check_formula_kc5,
-    "detector-oracle": _check_detector_oracle,
+    "sandwich": (_check_sandwich, ("limit", "budget")),
+    "chordal-equality": (_check_chordal_equality, ("kmax", "limit", "budget")),
+    "formula-kc5": (_check_formula_kc5, ()),
+    "detector-oracle": (_check_detector_oracle, ()),
 }
 
 
-def _check_one(payload):
-    line, invariant, kmax, limit, budget = payload
+def _check_one(check, flags, line):
     try:
-        return _INVARIANTS[invariant](line, kmax, limit, budget)
+        return [{"graph6": line, **check(parse_graph6(line), **flags)}]
     except Exception as exc:
-        return {"graph6": line, "error": _error_text(exc)}
+        return [{"graph6": line, "error": _error_text(exc)}]
 
 
 def cmd_enumerate_check(args):
-    if args.invariant not in _INVARIANTS:
-        return _error_report("enumerate_check",
-                             f"unknown invariant {args.invariant!r}; known: "
-                             f"{sorted(_INVARIANTS)}"), 2
-    try:
-        lines = _read_corpus(args.corpus)
-    except OSError as exc:
-        return _error_report("enumerate_check", str(exc)), 2
-    payloads = [(ln, args.invariant, args.kmax, args.limit, args.budget)
-                for ln in lines]
-    records = list(_map_jobs(_check_one, payloads, args.jobs))
-    return reports.make_report("enumerate_check", records,
-                               extra={"invariant": args.invariant}), None
+    check, reads = _INVARIANTS[args.invariant]
+    if args.kmax is not None and "kmax" not in reads:
+        return _error_report("enumerate_check", f"invariant {args.invariant!r} "
+                             f"does not read --kmax"), 2
+    flags = {name: getattr(args, name) for name in reads}
+    return _run_corpus("enumerate_check", args, partial(_check_one, check, flags),
+                       {"invariant": args.invariant})
 
 
 # ---------------------------------------------------------------------------
@@ -430,12 +408,18 @@ def _error_text(exc):
     return f"{type(exc).__name__}: {exc}"
 
 
-def _map_jobs(fn, payloads, jobs):
-    if jobs and jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            yield from pool.map(fn, payloads)
-    else:
-        yield from map(fn, payloads)
+def _run_corpus(kind, args, per_line, extra):
+    """One report over the corpus: per_line maps each graph6 line to its
+    records, in a pool of --jobs processes when that is above 1, and the
+    records keep input order."""
+    try:
+        lines = _read_corpus(args.corpus)
+    except OSError as exc:
+        return _error_report(kind, str(exc)), 2
+    with ProcessPoolExecutor(args.jobs) if args.jobs > 1 else nullcontext() as pool:
+        mapped = pool.map(per_line, lines) if pool else map(per_line, lines)
+        records = [rec for recs in mapped for rec in recs]
+    return reports.make_report(kind, records, extra=extra), None
 
 
 def _error_report(kind, message):
@@ -448,15 +432,13 @@ def _error_report(kind, message):
     }
 
 
-def _emit(report, fmt, out=None):
-    out = out if out is not None else sys.stdout
+def _emit(report, fmt):
     if isinstance(report, str):
-        out.write(report)
-        return
-    if fmt == "text":
-        _emit_text(report, out)
+        sys.stdout.write(report)
+    elif fmt == "text":
+        _emit_text(report, sys.stdout)
     else:
-        out.write(reports.serialize_report(report))
+        sys.stdout.write(reports.serialize_report(report))
 
 
 def _emit_text(report, out):

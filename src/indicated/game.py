@@ -604,6 +604,10 @@ def play_match(g, k, ann, ben="optimal", *, solve_limit=DEFAULT_SOLVE_LIMIT,
 # exact chromatic / clique / independence numbers
 # ---------------------------------------------------------------------------
 
+_CLIQUE_LIMIT = 40       # omega_exact and alpha_exact
+_CHROMATIC_LIMIT = 20    # chi_exact
+
+
 def max_clique(g):
     """Maximum clique as a sorted vertex list (branch and bound with a
     greedy coloring bound; deterministic)."""
@@ -650,26 +654,26 @@ def max_clique(g):
     return sorted(best)
 
 
-def omega_exact(g, limit=40):
+def omega_exact(g):
     """Exact clique number."""
-    if g.n > limit:
-        raise TooLarge(f"n={g.n} exceeds clique limit {limit}")
+    if g.n > _CLIQUE_LIMIT:
+        raise TooLarge(f"n={g.n} exceeds clique limit {_CLIQUE_LIMIT}")
     return len(max_clique(g))
 
 
-def alpha_exact(g, limit=40):
+def alpha_exact(g):
     """Exact independence number (clique number of the complement)."""
-    if g.n > limit:
-        raise TooLarge(f"n={g.n} exceeds independence limit {limit}")
+    if g.n > _CLIQUE_LIMIT:
+        raise TooLarge(f"n={g.n} exceeds independence limit {_CLIQUE_LIMIT}")
     return len(max_clique(complement(g)))
 
 
-def chi_exact(g, limit=20):
+def chi_exact(g):
     """Exact chromatic number: saturation-guided branch and bound seeded
     with a maximum clique (precolored, breaking color symmetry) and a
     greedy upper bound."""
-    if g.n > limit:
-        raise TooLarge(f"n={g.n} exceeds chromatic limit {limit}")
+    if g.n > _CHROMATIC_LIMIT:
+        raise TooLarge(f"n={g.n} exceeds chromatic limit {_CHROMATIC_LIMIT}")
     n = g.n
     if n == 0:
         return 0

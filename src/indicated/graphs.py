@@ -438,10 +438,10 @@ def write_graph6(g):
 # DOT export
 # ---------------------------------------------------------------------------
 
-def to_dot(g, coloring=None, name="G"):
-    """DOT text; vertex labels are ids, optional color attribute from a
-    vertex -> color-number map."""
-    lines = [f"graph {name} {{"]
+def to_dot(g, coloring=None):
+    """DOT text for a graph named G; vertex labels are ids, optional color
+    attribute from a vertex -> color-number map."""
+    lines = ["graph G {"]
     for v in range(g.n):
         suffix = f' [color="{coloring[v]}"]' if coloring and coloring.get(v) else ""
         lines.append(f"  {v}{suffix};")

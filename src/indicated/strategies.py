@@ -249,28 +249,29 @@ def strat_kc6(g, k):
     omega = max(sizes[i] + sizes[(i + 1) % 6] for i in range(6))
     if k < omega:
         raise BoundViolated(f"need k >= clique number {omega}, got {k}")
-    mods = _rotate_modules(structure, lambda s: (-(s[0] + s[1]), s))
-    return _KC6Strategy(k, mods)
+    m = _rotate_modules(structure, lambda s: (-(s[0] + s[1]), s))
+    return PhasedStrategy([Order(sorted(m[0] + m[1]) + list(m[2] + m[5])),
+                           _KC6Tail(m[3], m[4], m[5])])
 
 
-class _KC6Strategy(Strategy):
-    def __init__(self, k, modules):
-        self.k = k
-        self.modules = modules
+class _KC6Tail(Strategy):
+    """Paces the opposite pair m3, m4 once every other module is colored.
+
+    m4's legal colors avail(4) are the palette minus those on m3, m4 and m5.
+    Every m4 reply takes one of them, so this slack never grows back: once
+    m3 stops, it waits until m4 is done.
+    """
+
+    def __init__(self, m3, m4, m5):
+        self.m3, self.m4 = m3, m4
+        self.vertices = m3 + m4
+        self.near_m4 = m3 + m4 + m5
 
     def next_vertex(self, state):
-        for part in (sorted(self.modules[0] + self.modules[1]), self.modules[2],
-                     self.modules[5]):
-            for v in part:
-                if not state.colors[v]:
-                    return v
-        # m4's legal colors avail(4) are the palette minus those on m3, m4
-        # and m5.  Every m4 reply takes one of them, so this slack never
-        # grows back: once m3 stops, it waits until m4 is done.
-        m3_left = _uncolored(state, self.modules[3])
-        m4_left = _uncolored(state, self.modules[4])
-        taken = {state.colors[v] for j in (3, 4, 5) for v in self.modules[j]} - {0}
-        slack = self.k - len(taken) - len(m4_left)
+        m3_left = _uncolored(state, self.m3)
+        m4_left = _uncolored(state, self.m4)
+        taken = {state.colors[v] for v in self.near_m4} - {0}
+        slack = state.k - len(taken) - len(m4_left)
         if m3_left and slack > 0:
             return m3_left[0]
         if slack < 0:

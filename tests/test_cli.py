@@ -38,6 +38,31 @@ def test_parse_krange():
     assert parse_krange("col")(g) == [3]
     with pytest.raises(ValueError):
         parse_krange("nope..3")
+    assert parse_krange("3..3")(g) == [3]
+
+
+@pytest.mark.parametrize("spec", ["5..3", "4+2..5", "3..2"])
+def test_verify_class_reversed_numeric_krange_is_usage_error(spec):
+    code, out = run_cli(["verify-class", "-", "cycle", "--krange", spec],
+                        stdin=write_graph6(make_named("C", 5)))
+    assert code == 2
+    rep = parse_report(out)
+    assert rep["error"] == f"bad krange: {spec!r} is empty"
+    assert rep["records"] == []
+
+
+def test_verify_class_empty_krange_on_a_graph_is_an_error_row():
+    """chi..2 is empty on C5 (chi = 3) but not on C4: the empty graph gets
+    an error row instead of verifying nothing."""
+    c5, c4 = write_graph6(make_named("C", 5)), write_graph6(make_named("C", 4))
+    code, out = run_cli(["verify-class", "-", "cycle", "--krange", "chi..2"],
+                        stdin=f"{c5}\n{c4}\n")
+    rep = parse_report(out)
+    assert rep["records"][0] == {
+        "graph6": c5, "error": "BadParam: krange 'chi..2' is empty on this graph"}
+    assert [(r["graph6"], r["k"], r["outcome"]) for r in rep["records"][1:]] == \
+        [(c4, 2, "ANN_WINS")]
+    assert rep["summary"]["errors"] == 1 and rep["summary"]["instances"] == 2
 
 
 def test_analyze_exact():
@@ -72,6 +97,14 @@ def test_analyze_malformed_input_exits_2():
     code, out = run_cli(["analyze", "thisisnotagraph~~~"])
     assert code == 2
     assert "error" in parse_report(out)
+
+
+def test_analyze_kmax_zero_is_not_the_default():
+    code, out = run_cli(["analyze", "C5", "--exact", "--kmax", "0"])
+    assert code == 2
+    rep = parse_report(out)
+    assert rep["records"][0]["error"] == "chi_i: BadParam: kmax must be >= 1"
+    assert "winnable" not in rep["records"][0]
 
 
 def test_analyze_over_limit_keeps_partial_results():
@@ -239,6 +272,16 @@ def test_check_invariants_small(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("invariant", ["sandwich", "formula-kc5", "detector-oracle"])
+def test_check_refuses_kmax_its_invariant_does_not_read(invariant):
+    code, out = run_cli(["check", "-", invariant, "--kmax", "3"],
+                        stdin=write_graph6(make_named("C", 5)))
+    assert code == 2
+    rep = parse_report(out)
+    assert rep["error"] == f"invariant {invariant!r} does not read --kmax"
+    assert rep["records"] == []
+
+
 def test_check_record_fault_is_error_row(tmp_path, monkeypatch):
     """An unexpected exception in one record becomes an error row, as a
     package error does, and the rest of the corpus still runs."""
@@ -248,14 +291,14 @@ def test_check_record_fault_is_error_row(tmp_path, monkeypatch):
              write_graph6(make_named("P", 4))]
     corpus = tmp_path / "c.g6"
     corpus.write_text("\n".join(lines) + "\n")
-    sandwich = cli._INVARIANTS["sandwich"]
+    sandwich, reads = cli._INVARIANTS["sandwich"]
 
-    def faulty(line, *rest):
-        if line == lines[1]:
+    def faulty(g, **flags):
+        if write_graph6(g) == lines[1]:
             raise RuntimeError("boom")
-        return sandwich(line, *rest)
+        return sandwich(g, **flags)
 
-    monkeypatch.setitem(cli._INVARIANTS, "sandwich", faulty)
+    monkeypatch.setitem(cli._INVARIANTS, "sandwich", (faulty, reads))
     code, out = run_cli(["check", str(corpus), "sandwich", "--jobs", "1"])
     rep = parse_report(out)
     recs = rep["records"]

@@ -1,7 +1,7 @@
 """Static checks over the package source: every import is used, every
 private function, class or method is referenced somewhere in the package,
-and every public function or method reads each of its parameters, so code
-that a change leaves behind shows up as a failure."""
+and every function or method reads each of its parameters, so code that a
+change leaves behind shows up as a failure."""
 
 import ast
 from pathlib import Path
@@ -81,13 +81,14 @@ def _only_raises_not_implemented(body):
 
 def unread_parameters(sources):
     """file:line function(parameter) for each parameter, other than self and
-    cls, that a public function or method (nested ones included) never
-    reads; dunder methods and abstract stubs that only raise
-    NotImplementedError are exempt."""
+    cls, that a function or method, public or private (nested ones
+    included), never reads; dunder methods and abstract stubs that only
+    raise NotImplementedError are exempt."""
     out = []
     for fname, text in sources.items():
         for node in ast.walk(ast.parse(text)):
-            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_") \
+            if not isinstance(node, ast.FunctionDef) \
+                    or node.name.startswith("__") and node.name.endswith("__") \
                     or _only_raises_not_implemented(node.body):
                 continue
             read = {n.id for stmt in node.body for n in ast.walk(stmt)
@@ -108,7 +109,7 @@ def test_package_has_no_unreferenced_private_definitions():
     assert unreferenced_privates(_package_sources()) == []
 
 
-def test_public_functions_read_every_parameter():
+def test_functions_read_every_parameter():
     assert unread_parameters(_package_sources()) == []
 
 
@@ -148,8 +149,12 @@ def test_source_checks_catch_leftovers():
         "        \"\"\"Abstract.\"\"\"\n"
         "        raise NotImplementedError\n"
         "\n"
-        "    def _private(self, state):\n"
-        "        return 0\n"
+        "    def _private(self, state, k):\n"
+        "        return k\n"
+        "\n"
+        "def _check_sandwich(line, kmax, limit):\n"
+        "    return line, limit\n"
     )
     assert unread_parameters({"m.py": unread}) == [
-        "m.py:1 strat_union(k)", "m.py:1 strat_union(rest)", "m.py:2 guard(state)"]
+        "m.py:1 strat_union(k)", "m.py:1 strat_union(rest)",
+        "m.py:17 _check_sandwich(kmax)", "m.py:2 guard(state)", "m.py:14 _private(state)"]

@@ -44,8 +44,13 @@ from indicated.strategies import (
     strat_split_c5_plus_clique,
     strat_union,
     _KC5LedgerStrategy,
+    _rotate_modules,
 )
-from indicated.structure import chi_formula_kc5, family_p5k4kitebull
+from indicated.structure import (
+    chi_formula_kc5,
+    family_p5k4kitebull,
+    recognize_expansion,
+)
 
 from builders import build_split_c5_instance, random_graph
 
@@ -195,17 +200,22 @@ class _RandomBen:
 def test_kc6_policy_matches_staged_strategy():
     """Deriving the stage from the position presents the same vertices as
     the stage counter did, against the optimal adversary and against
-    seeded random legal ones, on the criterion-04 grid."""
+    seeded random legal ones, on the criterion-04 grid.  The staged plan
+    takes the modules in strat_kc6's rotation: a maximum clique pair first,
+    ties broken by the size tuple and then by the first vertices."""
     plays = 0
     for m in itertools.product((1, 2), repeat=6):
         g = complete_expansion(C6, m)
+        modules = _rotate_modules(
+            recognize_expansion(g, C6, allowed=("complete",)),
+            lambda s: (-(s[0] + s[1]), s))
         omega = max(m[i] + m[(i + 1) % 6] for i in range(6))
         for k in (omega, omega + 1, omega + 2):
             optimal = OptimalBen(g, k)
             bens = [lambda: optimal] + [lambda s=s: _RandomBen(s) for s in range(5)]
             for make_ben in bens:
                 policy = strat_kc6(g, k)
-                staged = _StagedKC6Strategy(g, k, policy.modules)
+                staged = _StagedKC6Strategy(g, k, modules)
                 res = play_match(g, k, policy, make_ben())
                 assert res.ann_won, (m, k)
                 assert res == play_match(g, k, staged, make_ben()), (m, k)
