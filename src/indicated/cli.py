@@ -187,7 +187,7 @@ def cmd_analyze(args):
         if kmax is None:
             kmax = min(g.n, rec["max_degree"] + 1) or 1
         try:
-            res = chi_i(g, kmax, solve_limit=args.limit, node_budget=args.budget)
+            res = chi_i(g, kmax, solve_limit=_limit(args), node_budget=args.budget)
             rec["chi_i"] = res.chi_i
             rec["winnable"] = {str(k): v for k, v in res.winnable.items()}
         except GraphGameError as exc:
@@ -274,7 +274,7 @@ def cmd_verify_class(args):
         parse_krange(args.krange)
     except ValueError as exc:
         return _error_report("verify_class", str(exc)), 2
-    verify = partial(_verify_one, args.strategy_class, args.krange, args.limit,
+    verify = partial(_verify_one, args.strategy_class, args.krange, _limit(args),
                      args.budget)
     return _run_corpus("verify_class", args, verify, {"class": args.strategy_class})
 
@@ -292,6 +292,7 @@ def _int_list(text, what):
 
 
 def cmd_play(args):
+    limit = _limit(args)
     try:
         g = parse_graph_spec(args.input)
         graph6 = write_graph6(g)
@@ -303,11 +304,11 @@ def cmd_play(args):
                                f"outside 0..{g.n - 1}")
             strat = Order(order)
         else:
-            strat = _build_strategy(args.strategy, g, args.k, args.limit)
+            strat = _build_strategy(args.strategy, g, args.k, limit)
         ben = "optimal"
         if args.ben == "script":
             ben = _int_list(args.script, "--script") if args.script else []
-        match = play_match(g, args.k, strat, ben, solve_limit=args.limit,
+        match = play_match(g, args.k, strat, ben, solve_limit=limit,
                            node_budget=args.budget)
     except KeyError:
         return _error_report("play", f"unknown strategy {args.strategy!r}"), 2
@@ -381,10 +382,13 @@ def _check_one(check, flags, line):
 
 def cmd_enumerate_check(args):
     check, reads = _INVARIANTS[args.invariant]
-    if args.kmax is not None and "kmax" not in reads:
-        return _error_report("enumerate_check", f"invariant {args.invariant!r} "
-                             f"does not read --kmax"), 2
+    for name in ("kmax", "limit", "budget"):
+        if getattr(args, name) is not None and name not in reads:
+            return _error_report("enumerate_check", f"invariant {args.invariant!r} "
+                                 f"does not read --{name}"), 2
     flags = {name: getattr(args, name) for name in reads}
+    if "limit" in flags:
+        flags["limit"] = _limit(args)
     return _run_corpus("enumerate_check", args, partial(_check_one, check, flags),
                        {"invariant": args.invariant})
 
@@ -420,6 +424,11 @@ def _run_corpus(kind, args, per_line, extra):
         mapped = pool.map(per_line, lines) if pool else map(per_line, lines)
         records = [rec for recs in mapped for rec in recs]
     return reports.make_report(kind, records, extra=extra), None
+
+
+def _limit(args):
+    """The given --limit, else the default solve limit."""
+    return DEFAULT_SOLVE_LIMIT if args.limit is None else args.limit
 
 
 def _error_report(kind, message):
@@ -472,8 +481,8 @@ def build_parser():
         sp.add_argument("--format", choices=formats, default="json")
         sp.add_argument("--budget", type=int, default=None,
                         help="solver node budget (hard error when exceeded)")
-        sp.add_argument("--limit", type=int, default=DEFAULT_SOLVE_LIMIT,
-                        help="solver size limit")
+        sp.add_argument("--limit", type=int, default=None,
+                        help=f"solver size limit (default {DEFAULT_SOLVE_LIMIT})")
         if jobs:
             sp.add_argument("--jobs", type=int, default=1,
                             help="parallel corpus workers")

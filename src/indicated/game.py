@@ -19,9 +19,11 @@ time, each with fewer uncolored neighbors left than legal colors, the
 selector wins by presenting them in reverse peel order: a colored neighbor
 removes at most one color, so no vertex is ever blocked.
 
-Its dual is decided at the root: the selector wins only by completing a
-proper k-coloring, so when an exact coloring search finds none (k < chi)
-every position is lost.  Each k proves this on its own.
+Its dual is the no-completion proof: the selector wins only by completing
+a proper k-coloring, so a position whose classes extend to none is lost.
+At the root this decides every k < chi.  When the root has a k-coloring but
+no (k-1)-coloring (k = chi, where chi_i > chi can happen) the proof also
+runs at every searched position.  Each k proves this on its own.
 """
 
 from dataclasses import dataclass, field
@@ -139,23 +141,71 @@ def _first_blocked(adj, by_color, free):
     return None
 
 
-def _extend(adj, k, classes, free):
+def _extend(adj, k, classes, free, near=None):
     """A proper k-coloring extending the color classes (a tuple of at most k
     vertex masks) to the vertices of the mask free, as the tuple of its
     class masks, or None when there is none.  The least vertex with the
     fewest legal colors joins each class it fits in turn, then a new class:
-    one branch for all the unused colors."""
+    one branch for all the unused colors.
+
+    near[i] is the neighborhood mask of classes[i] (computed when None), so
+    a vertex fits class i iff its bit is clear there.  The masks, cut to
+    free, are summed in a bit-sliced counter whose top nonempty layer holds
+    the vertices that the most classes block."""
     if not free:
         return classes
-    fits, v = min((([i for i, c in enumerate(classes) if not c & adj[v]], v)
-                   for v in bits(free)), key=lambda fv: len(fv[0]))
-    bit = 1 << v
+    if near is None:
+        near = tuple(_neighborhood(adj, c) for c in classes)
+    layers = []
+    for m in near:
+        m &= free
+        for j, s in enumerate(layers):
+            if not m:
+                break
+            layers[j] = s ^ m
+            m &= s
+        else:
+            if m:
+                layers.append(m)
+    pick = free
+    for s in reversed(layers):
+        if pick & s:
+            pick &= s
+    bit = pick & -pick
+    row = adj[bit.bit_length() - 1]
     free ^= bit
-    for i in fits:
-        done = _extend(adj, k, classes[:i] + (classes[i] | bit,) + classes[i + 1:], free)
-        if done is not None:
-            return done
-    return _extend(adj, k, classes + (bit,), free) if len(classes) < k else None
+    for i, m in enumerate(near):
+        if not m & bit:
+            done = _extend(adj, k, classes[:i] + (classes[i] | bit,) + classes[i + 1:], free,
+                           near[:i] + (m | row,) + near[i + 1:])
+            if done is not None:
+                return done
+    if len(classes) < k:
+        return _extend(adj, k, classes + (bit,), free, near + (row,))
+    return None
+
+
+def _inside(classes, witness):
+    """True iff each class lies inside its own class of the coloring
+    witness, which then completes the position up to renaming colors."""
+    used = 0
+    for c in classes:
+        for j, w in enumerate(witness):
+            if not c & ~w:
+                if used >> j & 1:
+                    return False
+                used |= 1 << j
+                break
+        else:
+            return False
+    return True
+
+
+def _neighborhood(adj, mask):
+    out = 0
+    for v in bits(mask):
+        out |= adj[v]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +285,14 @@ class GameSolver:
     A root that does not peel is stored as lost in one node when ``_extend``
     finds no proper k-coloring (the exhausted search is the witness).  A
     completion of any position would complete the root, so ``lost`` is set
-    and every later ``value`` is False without a search.
+    and every later ``value`` is False without a search.  Otherwise the root
+    sets ``tight`` when ``_extend`` finds no (k-1)-coloring, that is when
+    k = chi.  Then every later position that does not peel is stored as
+    lost, without a child, when ``_extend`` finds no completion of it.  The
+    last completion found is kept in ``witness``: a position whose classes
+    lie inside distinct witness classes completes without the search.  The
+    root's search alone sets ``tight``, so a solver that never searches the
+    root (as ``OptimalBen``'s) searches as without it.
     """
 
     def __init__(self, g, k, node_budget=None):
@@ -248,6 +305,8 @@ class GameSolver:
         self.nodes = 0
         self.memo_hits = 0
         self.lost = False
+        self.tight = False
+        self.witness = None
         self._full = g.full_mask()
         self._deg = [row.bit_count() for row in g.adj]
         tw = twin_classes(g)
@@ -326,10 +385,19 @@ class GameSolver:
             if not rest:
                 memo[key] = True
                 return True
-        if not classes and _extend(adj, self.k, (), self._full) is None:
-            self.lost = True
-            memo[key] = False
-            return False
+        if not classes:
+            self.witness = _extend(adj, self.k, (), self._full)
+            if self.witness is None:
+                self.lost = True
+                memo[key] = False
+                return False
+            self.tight = _extend(adj, self.k - 1, (), self._full) is None
+        elif self.tight and not _inside(classes, self.witness):
+            done = _extend(adj, self.k, classes, self._full & ~colored)
+            if done is None:
+                memo[key] = False
+                return False
+            self.witness = done
         moves.sort()
         key_of = self._key
         search = self._search
@@ -435,9 +503,10 @@ def _principal_line(solver):
     return tuple(line)
 
 
-def ann_wins_reference(g, k, *, solve_limit=8):
+def ann_wins_reference(g, k, *, colors=None, solve_limit=8):
     """Canonicalization-free reference solver (memo on the raw coloring
-    vector, colorist branches over every concrete color)."""
+    vector, colorist branches over every concrete color), from the proper
+    partial coloring colors (0 = uncolored; default: none colored)."""
     if g.n > solve_limit:
         raise TooLarge(f"reference solver limited to n <= {solve_limit}")
     adj = g.adj
@@ -474,7 +543,7 @@ def ann_wins_reference(g, k, *, solve_limit=8):
         memo[coloring] = False
         return False
 
-    return val((0,) * n)
+    return val((0,) * n if colors is None else tuple(colors))
 
 
 @dataclass(frozen=True)
@@ -617,33 +686,16 @@ def max_clique(g):
     adj = g.adj
     best = []
 
-    def greedy_color_order(pmask):
-        """Vertices of pmask with greedy color numbers, ascending."""
-        color_of = {}
-        classes = []
-        for v in bits(pmask):
-            placed = False
-            for ci, cmask in enumerate(classes):
-                if not (adj[v] & cmask):
-                    classes[ci] |= 1 << v
-                    color_of[v] = ci + 1
-                    placed = True
-                    break
-            if not placed:
-                classes.append(1 << v)
-                color_of[v] = len(classes)
-        order = sorted(bits(pmask), key=lambda v: (color_of[v], v))
-        return order, color_of
-
     def expand(rlist, pmask):
         nonlocal best
         if not pmask:
             if len(rlist) > len(best):
                 best = list(rlist)
             return
-        order, color_of = greedy_color_order(pmask)
-        for v in reversed(order):
-            if len(rlist) + color_of[v] <= len(best):
+        order = [(c, v) for c, m in enumerate(_first_fit(adj, bits(pmask)), 1)
+                 for v in bits(m)]
+        for c, v in reversed(order):
+            if len(rlist) + c <= len(best):
                 return
             rlist.append(v)
             expand(rlist, pmask & adj[v])
@@ -691,14 +743,18 @@ def chi_exact(g):
 
 
 def _greedy_chi(g):
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    colors = {}
-    used = 0
+    return len(_first_fit(g.adj, sorted(range(g.n), key=lambda v: (-g.degree(v), v))))
+
+
+def _first_fit(adj, order):
+    """Greedy coloring of the vertices in order, each joining the first
+    class it fits: the list of class masks."""
+    classes = []
     for v in order:
-        taken = {colors[u] for u in bits(g.adj[v]) if u in colors}
-        c = 1
-        while c in taken:
-            c += 1
-        colors[v] = c
-        used = max(used, c)
-    return used
+        for i, m in enumerate(classes):
+            if not adj[v] & m:
+                classes[i] = m | 1 << v
+                break
+        else:
+            classes.append(1 << v)
+    return classes

@@ -282,6 +282,18 @@ def test_check_refuses_kmax_its_invariant_does_not_read(invariant):
     assert rep["records"] == []
 
 
+@pytest.mark.parametrize("invariant, flag", [
+    ("formula-kc5", "--limit"), ("formula-kc5", "--budget"),
+    ("detector-oracle", "--limit"), ("detector-oracle", "--budget"),
+])
+def test_check_refuses_limit_and_budget_its_invariant_does_not_read(invariant, flag):
+    code, out = run_cli(["check", "-", invariant, flag, "3"], stdin="Dhc\n")
+    assert code == 2
+    rep = parse_report(out)
+    assert rep["error"] == f"invariant {invariant!r} does not read {flag}"
+    assert rep["records"] == []
+
+
 def test_check_record_fault_is_error_row(tmp_path, monkeypatch):
     """An unexpected exception in one record becomes an error row, as a
     package error does, and the rest of the corpus still runs."""

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from indicated.errors import (
@@ -27,6 +30,7 @@ from indicated.game import (
     omega_exact,
     _extend,
     _greedy_chi,
+    _inside,
     _principal_line,
     play_match,
     twin_classes,
@@ -42,6 +46,7 @@ from indicated.graphs import (
     independent_expansion,
     join,
     make_named,
+    parse_graph6,
     union,
 )
 from indicated.strategies import Strategy, strat_solver_backed
@@ -456,11 +461,11 @@ def test_solver_canonicalizations_agree(rng):
 def test_twin_key_keeps_kc5_table():
     """KC5:3,3,2,2,2 has chi = col = 6, so every k of 1..8 is decided at
     the root in one node with either key.  KC5:2,2,2,2,2 has chi 5 and col
-    6, so k = 5 is searched: there the twin key gives the class-multiset
-    key's table in 95 nodes over k = 1..7 (582 with the class-multiset
-    key)."""
+    6, so k = 5 is searched, with the no-completion proof at every
+    position: there the twin key gives the class-multiset key's table in 69
+    nodes over k = 1..7 (338 with the class-multiset key)."""
     for mods, kmax, counts in (((3, 3, 2, 2, 2), 8, (8, 8)),
-                               ((2, 2, 2, 2, 2), 7, (95, 582))):
+                               ((2, 2, 2, 2, 2), 7, (69, 338))):
         g = complete_expansion(make_named("C", 5), mods)
         table = {}
         nodes = ref_nodes = 0
@@ -851,6 +856,161 @@ def test_root_proof_below_chi(all_le6, connected_le7):
             assert solver.nodes == 1
             pairs += 1
     assert pairs >= 2700 and replies >= 40000
+
+
+def _classes(state):
+    return tuple(sorted(m for m in state.color_class_masks() if m))
+
+
+def _tight_solvers(graphs):
+    """(g, k, solver) for every graph with chi < col, at k = chi, after the
+    root search has set the no-completion gate."""
+    for g in graphs:
+        k = chi_exact(g)
+        if k < degeneracy(g).col:
+            solver = GameSolver(g, k)
+            solver.value(())
+            assert solver.tight, g.edges()
+            yield g, k, solver
+
+
+def test_gate_is_set_only_at_chi(rng):
+    """The root sets the gate iff it has a k-coloring but no
+    (k-1)-coloring and does not peel, so at k = chi < col only."""
+    gated = 0
+    for _ in range(80):
+        g = random_graph(rng, rng.randint(2, 9), p=rng.choice((0.3, 0.5, 0.7)))
+        chi = chi_exact(g)
+        col = degeneracy(g).col
+        for k in range(1, col + 2):
+            solver = GameSolver(g, k)
+            solver.value(())
+            assert solver.tight == (k == chi < col), (g.edges(), k)
+            gated += solver.tight
+    assert gated >= 12
+
+
+def test_no_completion_proof_matches_reference_inside(rng, all_le6, connected_le7):
+    """With the gate set, random positions get the canonicalization-free
+    reference's value."""
+    positions = lost = 0
+    for g, k, solver in _tight_solvers(list(all_le6) + list(connected_le7)):
+        for _ in range(6):
+            state = _random_partial_coloring(rng, g, k)
+            win = solver.value(_classes(state))
+            assert win == ann_wins_reference(g, k, colors=state.colors), \
+                (g.edges(), k, state.colors)
+            positions += 1
+            lost += not win
+    assert positions >= 1400 and lost >= 400
+
+
+def test_no_completion_position_is_lost_in_one_node(rng, all_le6, connected_le7):
+    """With the gate set, a position not yet in the memo that has no proper
+    k-completion (by brute force) is stored as lost in one node, also when
+    no vertex is blocked yet."""
+    fresh = unblocked = 0
+    for g, k, solver in _tight_solvers(list(all_le6) + list(connected_le7)):
+        for _ in range(16):
+            state = _random_partial_coloring(rng, g, k)
+            classes = _classes(state)
+            key = solver._key(classes)
+            if key in solver.memo or _brute_completable(g, k, state.colors):
+                continue
+            nodes = solver.nodes
+            assert not solver.value(classes)
+            assert solver.nodes == nodes + 1 and solver.memo[key] is False, \
+                (g.edges(), k, state.colors)
+            fresh += 1
+            unblocked += blocked_vertex(state) is None
+    assert fresh >= 1000 and unblocked >= 150
+
+
+def test_inside_witness_implies_completion(rng, all_le6):
+    """A position whose classes lie inside distinct classes of a proper
+    coloring completes; two classes inside one witness class do not
+    count."""
+    inside = outside = 0
+    for g in all_le6:
+        for k in range(1, g.n + 1):
+            witness = _extend(g.adj, k, (), g.full_mask())
+            if witness is None:
+                continue
+            for _ in range(4):
+                state = _random_partial_coloring(rng, g, k)
+                if rng.random() < 0.5:
+                    # uncolor part of the witness and rename its colors
+                    names = rng.sample(range(1, k + 1), len(witness))
+                    state.colors = [0] * g.n
+                    for name, w in zip(names, witness):
+                        for v in bits(w):
+                            state.colors[v] = name if rng.random() < 0.6 else 0
+                if _inside(_classes(state), witness):
+                    assert _brute_completable(g, k, state.colors), (g.edges(), k, state.colors)
+                    inside += 1
+                else:
+                    outside += 1
+    assert inside >= 2000 and outside >= 500
+    p3 = make_named("P", 3)
+    assert not _inside((0b001, 0b100), (0b101, 0b010))
+    assert not _brute_completable(p3, 2, [1, 0, 2])
+
+
+def test_solver_counts_are_pinned(connected_le7):
+    """Nodes and memo entries of chi_i(g, max degree + 1) over
+    connected_le7 and of two deep-solve tables, so a change meant only to be
+    faster can show the search is as it was; a declared search change
+    restates them."""
+
+    def counts(g, kmax):
+        nodes = entries = 0
+        for k in range(1, kmax + 1):
+            solver = GameSolver(g, k)
+            solver.value(())
+            nodes += solver.nodes
+            entries += len(solver.memo)
+        return nodes, entries
+
+    total = [0, 0]
+    for g in connected_le7:
+        nodes, entries = counts(g, max(g.degree(v) for v in range(g.n)) + 1)
+        total[0] += nodes
+        total[1] += entries
+    assert total == [7040, 7040]
+    assert counts(independent_expansion(make_named("C", 7), (2,) * 7), 6) == (195, 195)
+    assert counts(complete_expansion(make_named("C", 5), (3, 3, 2, 2, 2)), 8) == (8, 8)
+
+
+def test_extend_returns_recorded_completions():
+    """_extend returns the completion recorded from its list-based form
+    (data/extend_completions.json: graph6, k, [clique,] classes as vertex
+    lists or null): at the root of every all_le6 graph for k = 1..n, and
+    from the maximum clique that seeds chi_exact on every connected_le7
+    graph for k = clique size..n."""
+    data = Path(__file__).parent / "data"
+    rec = json.loads((data / "extend_completions.json").read_text())
+
+    def listed(done):
+        return None if done is None else [list(bits(c)) for c in done]
+
+    lines = (data / "all_le6.g6").read_text().split()
+    assert [r[:2] for r in rec["root"]] == \
+        [[ln, k] for ln in lines for k in range(1, parse_graph6(ln).n + 1)]
+    for ln, k, want in rec["root"]:
+        g = parse_graph6(ln)
+        assert listed(_extend(g.adj, k, (), g.full_mask())) == want, (ln, k)
+    lines = (data / "connected_le7.g6").read_text().split()
+    assert sorted({r[0] for r in rec["clique_seeded"]}) == sorted(lines)
+    for ln, k, clique, want in rec["clique_seeded"]:
+        g = parse_graph6(ln)
+        if k == len(clique):
+            assert max_clique(g) == clique, ln
+            ks = []
+        ks.append(k)
+        assert ks == list(range(len(clique), len(clique) + len(ks))), ln
+        seed = tuple(1 << v for v in clique)
+        done = _extend(g.adj, k, seed, g.full_mask() & ~sum(seed))
+        assert listed(done) == want, (ln, k)
 
 
 def test_chi_i_label_invariance(rng):
