@@ -259,6 +259,14 @@ class _TwinProfiles(dict):
         return p
 
 
+def _solver_tables(g):
+    """The full mask, the degree table and the twin profile cache (None
+    when every twin class is a singleton) of g."""
+    tw = twin_classes(g)
+    return (g.full_mask(), [row.bit_count() for row in g.adj],
+            _TwinProfiles(tw) if len(tw) < g.n else None)
+
+
 class GameSolver:
     """Memoized exact minimax for one (graph, k) pair.
 
@@ -293,9 +301,12 @@ class GameSolver:
     lie inside distinct witness classes completes without the search.  The
     root's search alone sets ``tight``, so a solver that never searches the
     root (as ``OptimalBen``'s) searches as without it.
+
+    The full mask, the degree table and the twin profile cache do not
+    depend on k; ``chi_i`` builds them once (``_tables``) for all its k.
     """
 
-    def __init__(self, g, k, node_budget=None):
+    def __init__(self, g, k, node_budget=None, _tables=None):
         if k < 1:
             raise BadParam("palette size must be >= 1")
         self.g = g
@@ -307,10 +318,7 @@ class GameSolver:
         self.lost = False
         self.tight = False
         self.witness = None
-        self._full = g.full_mask()
-        self._deg = [row.bit_count() for row in g.adj]
-        tw = twin_classes(g)
-        self._twins = _TwinProfiles(tw) if len(tw) < g.n else None
+        self._full, self._deg, self._twins = _tables or _solver_tables(g)
 
     def _key(self, classes):
         if self._twins is None:
@@ -555,19 +563,22 @@ class ChiIResult:
 def chi_i(g, kmax=None, *, solve_limit=DEFAULT_SOLVE_LIMIT, node_budget=None):
     """Least winnable palette size plus the full per-k table for 1..kmax.
 
-    Every k is solved independently: winnability is not assumed monotone,
+    Each k is searched with its own memo and root proofs, while the graph's
+    tables are built once per table: winnability is not assumed monotone,
     and the table is reported as computed.
     """
+    if kmax is not None and kmax < 1:
+        raise BadParam("kmax must be >= 1")
     if g.n == 0:
         return ChiIResult(0, {})
     if kmax is None:
         kmax = g.n
-    if kmax < 1:
-        raise BadParam("kmax must be >= 1")
-    table = {}
-    for k in range(1, kmax + 1):
-        table[k] = ann_wins(g, k, solve_limit=solve_limit, node_budget=node_budget,
-                            want_line=False).ann_wins
+    if g.n > solve_limit:
+        raise TooLarge(f"n={g.n} exceeds solve limit {solve_limit}")
+    tables = _solver_tables(g)
+    # one solver at a time: each is freed once its k is decided
+    table = {k: GameSolver(g, k, node_budget, _tables=tables).value(())
+             for k in range(1, kmax + 1)}
     for k in range(1, kmax + 1):
         if table[k]:
             return ChiIResult(k, table)

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import indicated.game as game
 from indicated.errors import (
     AlreadyColored,
     BadParam,
@@ -131,6 +132,17 @@ def test_chi_i_errors_and_edges():
         chi_i(make_named("C", 5), 2)
     assert chi_i(Graph(0)).chi_i == 0
     assert chi_i(Graph(1)).chi_i == 1
+
+
+def test_chi_i_checks_an_explicit_kmax_on_every_graph():
+    """kmax < 1 is refused on the empty graph as on any other; kmax=None
+    on the empty graph is the empty table."""
+    for g in (Graph(0), Graph(1), make_named("C", 5)):
+        for kmax in (0, -3):
+            with pytest.raises(BadParam, match="kmax must be >= 1"):
+                chi_i(g, kmax)
+    for res in (chi_i(Graph(0)), chi_i(Graph(0), 3)):
+        assert (res.chi_i, res.winnable) == (0, {})
 
 
 def test_ben_best_reply_examples():
@@ -956,6 +968,27 @@ def test_inside_witness_implies_completion(rng, all_le6):
     assert not _brute_completable(p3, 2, [1, 0, 2])
 
 
+def _twin_heavy_tables():
+    """(graph, kmax) of the two deep-solve tables: IC7:2^7 to 6 and
+    KC5:3,3,2,2,2 to 8."""
+    return [(independent_expansion(make_named("C", 7), (2,) * 7), 6),
+            (complete_expansion(make_named("C", 5), (3, 3, 2, 2, 2)), 8)]
+
+
+def _pinned_counts(connected_le7, counts):
+    """counts(g, kmax) -> (nodes, memo entries) summed over connected_le7 at
+    max degree + 1, then on each of the two deep-solve tables."""
+    total = [0, 0]
+    for g in connected_le7:
+        nodes, entries = counts(g, max(g.degree(v) for v in range(g.n)) + 1)
+        total[0] += nodes
+        total[1] += entries
+    return (tuple(total), *(counts(g, kmax) for g, kmax in _twin_heavy_tables()))
+
+
+PINNED_COUNTS = ((7040, 7040), (195, 195), (8, 8))
+
+
 def test_solver_counts_are_pinned(connected_le7):
     """Nodes and memo entries of chi_i(g, max degree + 1) over
     connected_le7 and of two deep-solve tables, so a change meant only to be
@@ -971,14 +1004,53 @@ def test_solver_counts_are_pinned(connected_le7):
             entries += len(solver.memo)
         return nodes, entries
 
-    total = [0, 0]
-    for g in connected_le7:
-        nodes, entries = counts(g, max(g.degree(v) for v in range(g.n)) + 1)
-        total[0] += nodes
-        total[1] += entries
-    assert total == [7040, 7040]
-    assert counts(independent_expansion(make_named("C", 7), (2,) * 7), 6) == (195, 195)
-    assert counts(complete_expansion(make_named("C", 5), (3, 3, 2, 2, 2)), 8) == (8, 8)
+    assert _pinned_counts(connected_le7, counts) == PINNED_COUNTS
+
+
+def test_chi_i_searches_the_pinned_counts(connected_le7, monkeypatch):
+    """chi_i itself, sharing one set of graph tables across its k, searches
+    the pinned nodes and memo entries, finds the twin classes once per call
+    and holds one solver at a time."""
+    seen = {"nodes": 0, "entries": 0, "live": 0, "peak": 0, "twins": 0}
+
+    class CountingSolver(GameSolver):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            seen["live"] += 1
+            seen["peak"] = max(seen["peak"], seen["live"])
+
+        def __del__(self):
+            seen["live"] -= 1
+            seen["nodes"] += self.nodes
+            seen["entries"] += len(self.memo)
+
+    def counting_twins(g):
+        seen["twins"] += 1
+        return twin_classes(g)
+
+    monkeypatch.setattr(game, "GameSolver", CountingSolver)
+    monkeypatch.setattr(game, "twin_classes", counting_twins)
+
+    def counts(g, kmax):
+        before = dict(seen)
+        chi_i(g, kmax)
+        assert seen["twins"] == before["twins"] + 1
+        return seen["nodes"] - before["nodes"], seen["entries"] - before["entries"]
+
+    assert _pinned_counts(connected_le7, counts) == PINNED_COUNTS
+    assert seen["peak"] == 1 and seen["live"] == 0
+
+
+def test_chi_i_table_equals_ann_wins_per_k(all_le6, connected_le7):
+    """chi_i's table equals a fresh ann_wins solve of each k: on every
+    all_le6 and connected_le7 graph to max degree + 1, and on the
+    twin-heavy IC7:2^7 to 6 and KC5:3,3,2,2,2 to 8."""
+    cases = [(g, max(g.degree(v) for v in range(g.n)) + 1)
+             for g in list(all_le6) + list(connected_le7)]
+    cases += _twin_heavy_tables()
+    for g, kmax in cases:
+        assert chi_i(g, kmax).winnable == \
+            {k: ann_wins(g, k, want_line=False).ann_wins for k in range(1, kmax + 1)}
 
 
 def test_extend_returns_recorded_completions():
