@@ -224,12 +224,15 @@ _KTERM_RE = re.compile(r"^(chi|col|\d+)(?:\+(\d+))?$")
 
 def parse_krange(spec):
     """Palette range like "chi", "chi..chi+2", "2..5", "col..col+1";
-    returns a function graph -> list of k.  A numeric range must not be
-    empty."""
+    returns a function graph -> list of k.  A numeric bound must be at
+    least 1 and a numeric range must not be empty."""
     matches = [_KTERM_RE.match(p) for p in spec.split("..")]
     if len(matches) > 2 or not all(matches):
         raise ValueError(f"bad krange: {spec!r}")
     terms = [(m.group(1), int(m.group(2) or 0)) for m in matches]
+    if any(b.isdigit() and int(b) + plus < 1 for b, plus in terms):
+        raise ValueError(f"bad krange: {spec!r} has a bound below 1; "
+                         f"palette sizes start at 1")
 
     def krange(g):
         value = {b: chi_exact(g) if b == "chi" else
@@ -432,13 +435,10 @@ def _limit(args):
 
 
 def _error_report(kind, message):
-    return {
-        "schema_version": reports.SCHEMA_VERSION,
-        "kind": kind,
-        "error": message,
-        "records": [],
-        "summary": {"instances": 0, "failures": 0, "violations": 0, "errors": 1},
-    }
+    report = reports.make_report(kind, [])
+    report["error"] = message
+    report["summary"]["errors"] = 1
+    return report
 
 
 def _emit(report, fmt):

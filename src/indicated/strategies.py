@@ -13,9 +13,10 @@ Most plans are a presentation order: ``Order`` presents the first
 uncolored vertex of a fixed vertex sequence, after an optional guard has
 checked it.  Plans that play induced subgraphs chain phases with
 ``PhasedStrategy``: a phase is an ``Order`` or a ``SubGamePhase``, which
-runs a sub-strategy on its subgraph over a virtual palette (a subset of the
-host colors) and checks that every reply lands inside that palette, turning
-the correctness argument's claims into runtime assertions.
+runs a sub-strategy, built with the plan, on its subgraph over the palette
+minus the colors on an anchor clique, and checks that every reply lands
+inside that palette, turning the correctness argument's claims into runtime
+assertions.
 """
 
 from .detect import is_family_free
@@ -104,34 +105,28 @@ class Order(Strategy):
 
 
 class SubGamePhase:
-    """Plays an induced subgraph with a lazily-built sub-strategy over a
-    virtual palette (None = the full host palette).
+    """Plays graph, the subgraph induced on vertices, with sub, a strategy
+    built for k - len(anchors) colors, over the virtual palette: the host
+    palette minus the colors on the anchor clique (a vertex b or apex, a
+    joined clique, a pod's clique neighborhood, or nothing), which must be
+    colored, with distinct colors, before the phase starts."""
 
-    The palette is recomputed from the position on every call; only the
-    induced graph and the sub-strategy, built for the palette's size, are
-    kept.
-    """
-
-    def __init__(self, vertices, factory, label, palette=None):
+    def __init__(self, graph, vertices, sub, label, anchors=()):
+        self.graph = graph
         self.vertices = tuple(sorted(vertices))
-        self.factory = factory
-        self.palette_fn = palette
+        self.sub = sub
         self.label = label
-        self._sub = None
+        self.anchors = tuple(anchors)
 
     def next_vertex(self, state):
-        if self.palette_fn is None:
-            palette = tuple(range(1, state.k + 1))
-        else:
-            palette = tuple(sorted(self.palette_fn(state)))
-        if self._sub is None:
-            graph = induced(state.graph, self.vertices)
-            self._sub = graph, len(palette), self.factory(graph, len(palette))
-        graph, size, sub = self._sub
-        if len(palette) != size:
+        taken = {state.colors[u] for u in self.anchors}
+        if 0 in taken:
             raise StrategyInvariantViolation(
-                f"{self.label}: virtual palette of {len(palette)} colors, but "
-                f"the sub-strategy was built for {size}")
+                f"{self.label}: anchor clique {self.anchors} not colored yet")
+        if len(taken) != len(self.anchors):
+            raise StrategyInvariantViolation(
+                f"{self.label}: anchor clique {self.anchors} repeats a color")
+        palette = tuple(c for c in range(1, state.k + 1) if c not in taken)
         colors = []
         for v in self.vertices:
             c = state.colors[v]
@@ -140,19 +135,15 @@ class SubGamePhase:
                     f"{self.label}: reply color {c} outside the virtual "
                     f"palette {palette}")
             colors.append(palette.index(c) + 1 if c else 0)
-        local = sub.next_vertex(GameState(graph, len(palette), colors))
+        local = self.sub.next_vertex(GameState(self.graph, len(palette), colors))
         return self.vertices[local]
 
 
-def _palette_without(vertices, what):
-    """Palette callback: the palette minus the colors on vertices, which
-    must all be colored (what names them in the error)."""
-    def palette(state):
-        taken = {state.colors[u] for u in vertices}
-        if 0 in taken:
-            raise StrategyInvariantViolation(f"{what} not colored yet")
-        return [c for c in range(1, state.k + 1) if c not in taken]
-    return palette
+def _sub_game(g, k, vertices, factory, label, anchors=()):
+    """A SubGamePhase on g[vertices], its sub-strategy built now (so class
+    and bound errors surface with the plan) for k - len(anchors) colors."""
+    graph = induced(g, vertices)
+    return SubGamePhase(graph, vertices, factory(graph, k - len(anchors)), label, anchors)
 
 
 class PhasedStrategy(Strategy):
@@ -458,12 +449,6 @@ class _KC5LedgerStrategy(Strategy):
 # composition
 # ---------------------------------------------------------------------------
 
-def _sub_games(blocks, label):
-    """Plays each (vertices, built strategy) block to completion in turn."""
-    return PhasedStrategy(SubGamePhase(vertices, lambda gg, kk, s=strat: s, label)
-                          for vertices, strat in blocks)
-
-
 def strat_union(parts):
     """Compose per-component strategies over a disjoint-union layout.
 
@@ -471,19 +456,18 @@ def strat_union(parts):
     of the host (the layout produced by graphs.union); each component is
     played to completion in block order, which is ascending least-id order.
     """
-    blocks = []
-    offset = 0
+    phases, offset = [], 0
     for strat, g in parts:
-        blocks.append((range(offset, offset + g.n), strat))
+        phases.append(SubGamePhase(g, range(offset, offset + g.n), strat, "union part"))
         offset += g.n
-    return _sub_games(blocks, "union part")
+    return PhasedStrategy(phases)
 
 
 def strat_components(g, k, factory):
     """One sub-strategy per connected component (built eagerly so class and
     bound errors surface now), components in ascending least-id order."""
-    return _sub_games([(comp, factory(induced(g, comp), k)) for comp in components(g)],
-                      "component")
+    return PhasedStrategy(_sub_game(g, k, comp, factory, "component")
+                          for comp in components(g))
 
 
 # ---------------------------------------------------------------------------
@@ -518,9 +502,8 @@ def strat_p5k4kitebull(g, k):
 
     for block, anchor, label in ((dec.V1, b, "first block"), (dec.V3, xstar, "third layer")):
         for comp in components(induced(g, block)):
-            phases.append(SubGamePhase([block[i] for i in comp], sub_factory, label,
-                                       palette=_palette_without(
-                                           [anchor], f"anchor vertex {anchor}")))
+            phases.append(_sub_game(g, k, [block[i] for i in comp], sub_factory, label,
+                                    anchors=(anchor,)))
     leftovers = sorted((set(dec.B) | set(dec.S)) - {b, xstar})
     if leftovers:
         bset = set(dec.B)
@@ -575,7 +558,7 @@ def strat_split_c5(g, k):
             raise StrategyInvariantViolation(
                 f"no clique-part non-neighbor color open for {v}")
 
-    phases = [SubGamePhase(core, strat_kc5, "clique parts")]
+    phases = [_sub_game(g, k, core, strat_kc5, "clique parts")]
     if rest:
         phases.append(Order(rest, guard=guard))
     return PhasedStrategy(phases)
@@ -600,8 +583,8 @@ def strat_split_c5_plus_clique(g, k):
         raise BoundViolated(f"need k >= {chi}, got {k}")
     return PhasedStrategy([
         Order(sorted(universal)),
-        SubGamePhase(rest, strat_split_c5, "expansion part",
-                     palette=_palette_without(universal, "universal clique")),
+        SubGamePhase(restg, rest, strat_split_c5(restg, k - t), "expansion part",
+                     anchors=universal),
     ])
 
 
@@ -619,11 +602,10 @@ def strat_p5c4(g, k):
         raise BoundViolated(f"need k >= {chi}, got {k}")
     phases = []
     if dec.chordal_part:
-        phases.append(SubGamePhase(dec.chordal_part, strat_degeneracy, "chordal part"))
+        phases.append(_sub_game(g, k, dec.chordal_part, strat_degeneracy, "chordal part"))
     for pod in dec.pods:
-        phases.append(SubGamePhase(pod.vertices, strat_kc5, "pod",
-                                   palette=_palette_without(pod.clique_nbhd,
-                                                            "pod neighborhood")))
+        phases.append(_sub_game(g, k, pod.vertices, strat_kc5, "pod",
+                                anchors=pod.clique_nbhd))
     return PhasedStrategy(phases)
 
 

@@ -256,12 +256,9 @@ def dihedral_orders(n):
 
 
 def _canonical_rotation(modules, kinds):
-    """Modules and kinds in the cycle order that starts at the module holding
-    the least id and steps towards its lesser-id neighbour module."""
-    n = len(modules)
-    first = min(range(n), key=lambda i: modules[i][0])
-    step = 1 if modules[(first + 1) % n][0] < modules[first - 1][0] else -1
-    perm = [(first + step * i) % n for i in range(n)]
+    """Modules and kinds in the dihedral order whose least ids read least
+    (from the least id towards its lesser-id neighbour module)."""
+    perm = min(dihedral_orders(len(modules)), key=lambda p: [modules[i][0] for i in p])
     return [modules[p] for p in perm], [kinds[p] for p in perm]
 
 
@@ -329,22 +326,8 @@ class C5Decomposition:
         _check_modules(g, self.A, ("independent",) * 5)
         if len(self.cycle) != 5 or any(c not in a for c, a in zip(self.cycle, self.A)):
             raise StructureViolation("A_i does not hold cycle[i]")
-        core = induced(g, v1 + v3) if v1 or v3 else None
-        if core is not None:
-            _check_ic5_or_bipartite_components(core)
+        _component_tags(induced(g, v1 + v3))   # raises unless bipartite or IC5
         return self
-
-
-def _check_ic5_or_bipartite_components(g):
-    """Each component must be bipartite or an independent expansion of C5."""
-    base = make_named("C", 5)
-    for comp in components(g):
-        sub = induced(g, comp)
-        if is_bipartite(sub) is not None:
-            continue
-        if recognize_expansion(sub, base, allowed=("independent",)) is None:
-            raise StructureViolation(
-                "component neither bipartite nor an independent C5 expansion")
 
 
 def decompose_p5k4kitebull(g):
@@ -489,15 +472,20 @@ def sumner_classify(g):
     free, witness = is_family_free(g, family_sumner())
     if not free:
         raise NotInClass("graph is not {P5,K3}-free", witness)
+    return _component_tags(g)
+
+
+def _component_tags(g):
+    """A ComponentTag per component: a 2-partition, else the modules of an
+    independent C5 expansion, else StructureViolation."""
     base = make_named("C", 5)
     tags = []
     for comp in components(g):
         sub = induced(g, comp)
         two = is_bipartite(sub)
         if two is not None:
-            side0 = tuple(comp[i] for i in two[0])
-            side1 = tuple(comp[i] for i in two[1])
-            tags.append(ComponentTag(tuple(comp), "bipartite", (side0, side1)))
+            sides = tuple(tuple(comp[i] for i in side) for side in two)
+            tags.append(ComponentTag(tuple(comp), "bipartite", sides))
             continue
         es = recognize_expansion(sub, base, allowed=("independent",))
         if es is None:

@@ -39,6 +39,13 @@ def test_parse_krange():
     with pytest.raises(ValueError):
         parse_krange("nope..3")
     assert parse_krange("3..3")(g) == [3]
+    assert parse_krange("0+1")(g) == [1]
+    for spec in ("0", "0..1", "chi..0"):
+        with pytest.raises(ValueError, match="palette sizes start at 1"):
+            parse_krange(spec)
+    code, out = run_cli(["verify-class", "-", "solver", "--krange", "0"],
+                        stdin=write_graph6(make_named("C", 5)))
+    assert code == 2 and parse_report(out)["records"] == []
 
 
 @pytest.mark.parametrize("spec", ["5..3", "4+2..5", "3..2"])
@@ -485,9 +492,14 @@ def test_check_chordal_equality_full_corpus():
      "bc86c8b7d331a5eed4a504f99a66e322138b6eb6102342968781dfe496f80bab"),
     (["verify-class", "connected_le7.g6", "split-c5-clique", "--krange", "chi..chi+1"],
      "605befc0deae53ac1786b71d2b5d5397728d1276f0081ebee5a36601b79558a9"),
+    (["verify-class", "connected_le7.g6", "split-c5", "--krange", "chi..chi+1"],
+     "08d02dc94c19b4a42632e758f3ceaae52a558f0ef80df4cdc58e551efd361e34"),
+    (["verify-class", "connected_le7.g6", "p6c5", "--krange", "chi..chi+1"],
+     "bfb8bf563d2698189dee3e373ad76a279344413c1bf4e1268189a012464d6894"),
 ], ids=["sandwich", "kc5-exact", "petersen-exact", "p5c4-two-pods",
         "p5k4kitebull-apex", "p6c5claw-three-b", "verify-kc5", "verify-kc6",
-        "verify-p5c4", "verify-p5k4kitebull", "verify-split-c5-clique"])
+        "verify-p5c4", "verify-p5k4kitebull", "verify-split-c5-clique",
+        "verify-split-c5", "verify-p6c5"])
 def test_golden_report_hashes(argv, digest):
     """A change to the search or to a strategy keeps every canonical report
     byte-identical: the verify-class rows pin each class plan's moves."""

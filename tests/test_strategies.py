@@ -10,6 +10,7 @@ from indicated.errors import (
     NotApplicable,
     NotWinnable,
     StrategyInvariantViolation,
+    StructureViolation,
 )
 from indicated.game import (
     GameState,
@@ -24,6 +25,7 @@ from indicated.graphs import (
     complete_expansion,
     degeneracy,
     independent_expansion,
+    induced,
     join,
     make_named,
     union,
@@ -31,6 +33,7 @@ from indicated.graphs import (
 from indicated.strategies import (
     STRATEGY_REGISTRY,
     Strategy,
+    SubGamePhase,
     strat_components,
     strat_cycle_expansion,
     strat_degeneracy,
@@ -594,6 +597,23 @@ def test_union_strategy():
 def test_components_strategy():
     host = union(C6, complete_expansion(C6, (2, 2, 1, 1, 1, 1)))
     win(host, 4, strat_components(host, 4, strat_kc6))
+
+
+def test_sub_game_phase_asserts_its_anchor_clique_and_palette():
+    """A sub-game built for k - 2 colors beside anchors 0 and 1 refuses to
+    play while an anchor is uncolored, when the anchors share a color (the
+    palette would not have the size the sub-strategy was built for), and
+    when a sub-game vertex holds a color outside the virtual palette."""
+    host = Graph(4, [(2, 3)])
+    part = induced(host, [2, 3])
+    phase = SubGamePhase(part, [2, 3], strat_degeneracy(part, 2), "part", anchors=(0, 1))
+    assert phase.next_vertex(GameState(host, 4, [1, 2, 3, 0])) == 3
+    with pytest.raises(StrategyInvariantViolation, match="not colored yet"):
+        phase.next_vertex(GameState(host, 4, [1, 0, 0, 0]))
+    with pytest.raises(StrategyInvariantViolation, match="repeats a color"):
+        phase.next_vertex(GameState(host, 4, [1, 1, 0, 0]))
+    with pytest.raises(StructureViolation, match="outside the virtual palette"):
+        phase.next_vertex(GameState(host, 4, [1, 2, 2, 0]))
 
 
 # --- class strategies ------------------------------------------------------------------
