@@ -23,7 +23,10 @@ Its dual is the no-completion proof: the selector wins only by completing
 a proper k-coloring, so a position whose classes extend to none is lost.
 At the root this decides every k < chi.  When the root has a k-coloring but
 no (k-1)-coloring (k = chi, where chi_i > chi can happen) the proof also
-runs at every searched position.  Each k proves this on its own.
+runs at every searched position.  After a few positions fail it, the solver
+lists every proper k-coloring of the graph once, unless there are more than
+_COLORINGS_LIMIT, and answers the rest from that table.  Each k proves this
+on its own: the table belongs to one solver.
 """
 
 from dataclasses import dataclass, field
@@ -41,6 +44,8 @@ from .errors import (
 from .graphs import bits, complement
 
 DEFAULT_SOLVE_LIMIT = 14
+_COLORINGS_LIMIT = 1024  # most colorings a tight solver tabulates
+_TABULATE_AFTER = 8      # failed completion searches before it tabulates
 
 __all__ = [
     "GameState",
@@ -141,7 +146,7 @@ def _first_blocked(adj, by_color, free):
     return None
 
 
-def _extend(adj, k, classes, free, near=None):
+def _extend(adj, k, classes, free, near=None, found=None):
     """A proper k-coloring extending the color classes (a tuple of at most k
     vertex masks) to the vertices of the mask free, as the tuple of its
     class masks, or None when there is none.  The least vertex with the
@@ -151,9 +156,17 @@ def _extend(adj, k, classes, free, near=None):
     near[i] is the neighborhood mask of classes[i] (computed when None), so
     a vertex fits class i iff its bit is clear there.  The masks, cut to
     free, are summed in a bit-sliced counter whose top nonempty layer holds
-    the vertices that the most classes block."""
+    the vertices that the most classes block.
+
+    With a list found, each completion is appended to it and the search
+    goes on, so each partition into at most k classes is listed once.  The
+    result is then None when every completion is listed, or the one that
+    takes the list past _COLORINGS_LIMIT."""
     if not free:
-        return classes
+        if found is None:
+            return classes
+        found.append(classes)
+        return classes if len(found) > _COLORINGS_LIMIT else None
     if near is None:
         near = tuple(_neighborhood(adj, c) for c in classes)
     layers = []
@@ -177,11 +190,11 @@ def _extend(adj, k, classes, free, near=None):
     for i, m in enumerate(near):
         if not m & bit:
             done = _extend(adj, k, classes[:i] + (classes[i] | bit,) + classes[i + 1:], free,
-                           near[:i] + (m | row,) + near[i + 1:])
+                           near[:i] + (m | row,) + near[i + 1:], found)
             if done is not None:
                 return done
     if len(classes) < k:
-        return _extend(adj, k, classes + (bit,), free, near + (row,))
+        return _extend(adj, k, classes + (bit,), free, near + (row,), found)
     return None
 
 
@@ -199,6 +212,55 @@ def _inside(classes, witness):
         else:
             return False
     return True
+
+
+class _Colorings(dict):
+    """A table of proper colorings, each a tuple of class masks, as
+    bit-sets over the colorings: _lab[v][j] holds the colorings whose j-th
+    class contains v.  Vertex r -> its row, listing per vertex v the
+    colorings in which r and v share a class; filled on first lookup."""
+
+    def __init__(self, n, k, colorings):
+        super().__init__()
+        lab = [[0] * k for _ in range(n)]
+        for i, coloring in enumerate(colorings):
+            for j, c in enumerate(coloring):
+                for v in bits(c):
+                    lab[v][j] |= 1 << i
+        self._lab = lab
+        self._all = (1 << len(colorings)) - 1
+
+    def __missing__(self, r):
+        mine = self._lab[r]
+        row = []
+        for theirs in self._lab:
+            shared = 0
+            for a, b in zip(mine, theirs):
+                shared |= a & b
+            row.append(shared)
+        self[r] = row
+        return row
+
+    def extends(self, classes):
+        """True iff some coloring of the table puts each of the classes
+        inside a class of its own: exactly when the classes complete, if
+        the table holds every proper coloring."""
+        ok = self._all
+        seen = []
+        for c in classes:
+            r = (c & -c).bit_length() - 1
+            row = self[r]
+            for s in seen:
+                ok &= ~row[s]
+            c ^= 1 << r
+            while c:
+                low = c & -c
+                ok &= row[low.bit_length() - 1]
+                c ^= low
+            if not ok:
+                return False
+            seen.append(r)
+        return ok != 0
 
 
 def _neighborhood(adj, mask):
@@ -302,6 +364,15 @@ class GameSolver:
     root's search alone sets ``tight``, so a solver that never searches the
     root (as ``OptimalBen``'s) searches as without it.
 
+    On the ``_TABULATE_AFTER``-th failed completion search, a tight solver
+    lists every proper k-coloring of the graph with ``_extend`` and keeps
+    them in ``colorings``.  From then on a position completes iff some
+    listed coloring puts each of its classes inside a class of its own,
+    the same answer the search gives, so values, memo contents and node
+    counts do not change.  A graph with more than ``_COLORINGS_LIMIT``
+    proper k-colorings gets no table and keeps the search.  The table is
+    this solver's own: no other k reads it.
+
     The full mask, the degree table and the twin profile cache do not
     depend on k; ``chi_i`` builds them once (``_tables``) for all its k.
     """
@@ -318,6 +389,8 @@ class GameSolver:
         self.lost = False
         self.tight = False
         self.witness = None
+        self.colorings = None
+        self._tabulate = _TABULATE_AFTER
         self._full, self._deg, self._twins = _tables or _solver_tables(g)
 
     def _key(self, classes):
@@ -400,12 +473,10 @@ class GameSolver:
                 memo[key] = False
                 return False
             self.tight = _extend(adj, self.k - 1, (), self._full) is None
-        elif self.tight and not _inside(classes, self.witness):
-            done = _extend(adj, self.k, classes, self._full & ~colored)
-            if done is None:
-                memo[key] = False
-                return False
-            self.witness = done
+        elif (self.tight and not _inside(classes, self.witness)
+              and not self._completes(classes, self._full & ~colored)):
+            memo[key] = False
+            return False
         moves.sort()
         key_of = self._key
         search = self._search
@@ -430,6 +501,25 @@ class GameSolver:
                 memo[key] = True
                 return True
         memo[key] = False
+        return False
+
+    def _completes(self, classes, free):
+        """True iff the classes extend to a proper k-coloring of their
+        vertices and free: by the coloring table once there is one, else by
+        _extend, whose _TABULATE_AFTER-th failure tabulates every proper
+        k-coloring of the graph unless there are more than _COLORINGS_LIMIT."""
+        if self.colorings is not None:
+            return self.colorings.extends(classes)
+        adj = self.g.adj
+        done = _extend(adj, self.k, classes, free)
+        if done is not None:
+            self.witness = done
+            return True
+        self._tabulate -= 1
+        if not self._tabulate:
+            found = []
+            if _extend(adj, self.k, (), self._full, None, found) is None:
+                self.colorings = _Colorings(self.g.n, self.k, found)
         return False
 
     def reply(self, by_color, v):

@@ -533,7 +533,12 @@ def strat_split_c5(g, k):
     structure = recognize_expansion(g, make_named("C", 5), allowed=("split",))
     if structure is None:
         raise NotApplicable("not an expansion of C5 into split modules")
-    chi = chi_exact(g)
+    return _split_c5_plan(g, k, structure, chi_exact(g))
+
+
+def _split_c5_plan(g, k, structure, chi):
+    """strat_split_c5's plan for g, given its recognised split expansion
+    structure and its chromatic number chi."""
     if k < chi:
         raise BoundViolated(f"need k >= {chi}, got {k}")
     parts = structure.split_parts()
@@ -575,16 +580,17 @@ def strat_split_c5_plus_clique(g, k):
     if not rest:
         raise NotApplicable("no expansion part left after the universal clique")
     restg = induced(g, rest)
-    if recognize_expansion(restg, make_named("C", 5), allowed=("split",)) is None:
+    structure = recognize_expansion(restg, make_named("C", 5), allowed=("split",))
+    if structure is None:
         raise NotApplicable("remainder is not a split expansion of C5")
     t = len(universal)
-    chi = t + chi_exact(restg)
-    if k < chi:
-        raise BoundViolated(f"need k >= {chi}, got {k}")
+    rest_chi = chi_exact(restg)
+    if k < t + rest_chi:
+        raise BoundViolated(f"need k >= {t + rest_chi}, got {k}")
     return PhasedStrategy([
         Order(sorted(universal)),
-        SubGamePhase(restg, rest, strat_split_c5(restg, k - t), "expansion part",
-                     anchors=universal),
+        SubGamePhase(restg, rest, _split_c5_plan(restg, k - t, structure, rest_chi),
+                     "expansion part", anchors=universal),
     ])
 
 

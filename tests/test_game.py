@@ -29,6 +29,7 @@ from indicated.game import (
     legal_colors,
     max_clique,
     omega_exact,
+    _Colorings,
     _extend,
     _greedy_chi,
     _inside,
@@ -304,17 +305,23 @@ def _brute_completable(g, k, colors):
 def test_extend_matches_brute_completion(rng, all_le6):
     """_extend finds a completion exactly when one exists, and a found one
     is a proper coloring with at most k classes, the i-th containing the
-    i-th given class."""
+    i-th given class.  The table of every proper k-coloring that _extend
+    lists (all_le6 stays under the cap) gives the same answer."""
     found = none = 0
     for g in all_le6:
         for k in range(1, g.n + 1):
+            colorings = []
+            assert _extend(g.adj, k, (), g.full_mask(), None, colorings) is None
+            assert len(set(map(frozenset, colorings))) == len(colorings)
+            table = _Colorings(g.n, k, colorings)
             for trial in range(4):
                 state = GameState(g, k) if not trial else _random_partial_coloring(rng, g, k)
                 classes = tuple(m for m in state.color_class_masks() if m)
                 free = g.full_mask() & ~sum(classes)
                 done = _extend(g.adj, k, classes, free)
-                assert (done is not None) == _brute_completable(g, k, state.colors), \
-                    (g.edges(), k, state.colors)
+                completable = _brute_completable(g, k, state.colors)
+                assert (done is not None) == completable, (g.edges(), k, state.colors)
+                assert table.extends(classes) == completable, (g.edges(), k, state.colors)
                 if done is None:
                     none += 1
                     continue
@@ -989,22 +996,78 @@ def _pinned_counts(connected_le7, counts):
 PINNED_COUNTS = ((7040, 7040), (195, 195), (8, 8))
 
 
+def _fresh_counts(g, kmax):
+    """(nodes, memo entries) of a fresh solve of each k = 1..kmax."""
+    nodes = entries = 0
+    for k in range(1, kmax + 1):
+        solver = GameSolver(g, k)
+        solver.value(())
+        nodes += solver.nodes
+        entries += len(solver.memo)
+    return nodes, entries
+
+
 def test_solver_counts_are_pinned(connected_le7):
     """Nodes and memo entries of chi_i(g, max degree + 1) over
     connected_le7 and of two deep-solve tables, so a change meant only to be
     faster can show the search is as it was; a declared search change
     restates them."""
+    assert _pinned_counts(connected_le7, _fresh_counts) == PINNED_COUNTS
 
-    def counts(g, kmax):
-        nodes = entries = 0
-        for k in range(1, kmax + 1):
-            solver = GameSolver(g, k)
-            solver.value(())
-            nodes += solver.nodes
-            entries += len(solver.memo)
-        return nodes, entries
 
-    assert _pinned_counts(connected_le7, counts) == PINNED_COUNTS
+@pytest.mark.parametrize("limit", [game._COLORINGS_LIMIT, 0])
+def test_coloring_table_keeps_the_pinned_counts(connected_le7, monkeypatch, limit):
+    """Answering the gated completion queries from the coloring table, or
+    from the search when the table is over the cap, searches the pinned
+    nodes and memo entries: tabulating on the first failed search (22
+    connected_le7 solves build a table), or never (a cap of 0)."""
+    built = []
+    tabulate = GameSolver._completes
+
+    def completes(self, classes, free):
+        had = self.colorings is not None
+        done = tabulate(self, classes, free)
+        built.append(not had and self.colorings is not None)
+        return done
+
+    monkeypatch.setattr(game, "_TABULATE_AFTER", 1)
+    monkeypatch.setattr(game, "_COLORINGS_LIMIT", limit)
+    monkeypatch.setattr(GameSolver, "_completes", completes)
+    assert _pinned_counts(connected_le7, _fresh_counts) == PINNED_COUNTS
+    assert sum(built) == (22 if limit else 0)
+
+
+def _gated_solve(g, k):
+    solver = GameSolver(g, k)
+    return solver, solver.value(())
+
+
+def test_heavy_gated_tables_are_pinned():
+    """Two deep-solve graphs at k = chi whose solves fail many completion
+    searches, random13-04 (the costliest table) and random12-01: each
+    builds its coloring table and keeps its counts."""
+    solver, win = _gated_solve(parse_graph6("Lr~nnTx|\\ljT{~"), 6)
+    assert (win, solver.nodes, len(solver.memo), solver.memo_hits) == (False, 5505, 5505, 5649)
+    assert solver.tight and solver.colorings is not None
+    solver, win = _gated_solve(parse_graph6("Kz\\qiufmVnx\\"), 5)
+    assert (win, solver.nodes, len(solver.memo)) == (True, 578, 578)
+    assert solver.tight and solver.colorings is not None
+
+
+def test_coloring_table_over_the_cap_keeps_the_search(monkeypatch):
+    """A graph with more proper k-colorings than the cap gets no table and
+    keeps the per-position search: Ffx|w plus 7 isolated vertices at k = 4
+    (49,152 colorings) when the first failure tabulates, and FPT}o plus 7
+    isolated vertices at k = 3, which fails enough searches to try."""
+    ffx = parse_graph6("Ffx|w")
+    fpt = parse_graph6("FPT}o")
+    solver, win = _gated_solve(Graph(14, fpt.edges()), 3)
+    assert (win, solver.nodes, solver.tight, solver.colorings) == (True, 304, True, None)
+    assert solver._tabulate < 0
+    monkeypatch.setattr(game, "_TABULATE_AFTER", 1)
+    solver, win = _gated_solve(Graph(14, ffx.edges()), 4)
+    assert (win, solver.nodes, solver.tight, solver.colorings) == (True, 12, True, None)
+    assert solver._tabulate < 0
 
 
 def test_chi_i_searches_the_pinned_counts(connected_le7, monkeypatch):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import indicated.strategies as strategies
 from indicated.detect import is_family_free
 from indicated.errors import (
     BoundViolated,
@@ -674,6 +675,23 @@ def test_split_c5_plus_clique_strategy():
     win(g, 5, strat_split_c5_plus_clique(g, 5))
     with pytest.raises(BoundViolated):
         strat_split_c5_plus_clique(g, 4)
+
+
+def test_split_c5_plus_clique_recognises_the_remainder_once(monkeypatch):
+    """One build on K2 v C5 recognises and colours the remainder once: two
+    recognize_expansion calls (one for the kc5 core) and one chi_exact."""
+    calls = collections.Counter()
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("recognize_expansion", "chi_exact"):
+        monkeypatch.setattr(strategies, name, counted(getattr(strategies, name)))
+    strat_split_c5_plus_clique(join(make_named("K", 2), C5), 5)
+    assert calls == {"recognize_expansion": 2, "chi_exact": 1}
 
 
 def test_split_c5_plus_clique_nontrivial_split(rng):
