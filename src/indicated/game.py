@@ -25,7 +25,12 @@ At the root this decides every k < chi.  When the root has a k-coloring but
 no (k-1)-coloring (k = chi, where chi_i > chi can happen) the proof also
 runs at every searched position.  After a few positions fail it, the solver
 lists every proper k-coloring of the graph once, unless there are more than
-_COLORINGS_LIMIT, and answers the rest from that table.  Each k proves this
+_COLORINGS_LIMIT, and answers the rest from that table.  From then on each
+position carries its consistent set, the listed colorings that put each of
+its classes inside a class of its own, and hands each child that set cut
+by the rows of the vertex it colors.  A child whose set is empty has no
+completion and is lost in its parent, before it builds a move list.  A
+solver without a table runs the proof after the peel.  Each k proves this
 on its own: the table belongs to one solver.
 """
 
@@ -242,9 +247,10 @@ class _Colorings(dict):
         return row
 
     def extends(self, classes):
-        """True iff some coloring of the table puts each of the classes
-        inside a class of its own: exactly when the classes complete, if
-        the table holds every proper coloring."""
+        """The consistent set of the classes: the colorings of the table
+        that put each class inside a class of its own, 0 for none.  If the
+        table holds every proper coloring, it is 0 exactly when the classes
+        do not complete."""
         ok = self._all
         seen = []
         for c in classes:
@@ -258,9 +264,22 @@ class _Colorings(dict):
                 ok &= row[low.bit_length() - 1]
                 c ^= low
             if not ok:
-                return False
+                return 0
             seen.append(r)
-        return ok != 0
+        return ok
+
+    def child(self, ok, classes, v, i):
+        """The consistent set of the child where v joins classes[i] (a
+        class of its own when i < 0), from ok, that of the classes: the
+        colorings in which v shares a class with classes[i]'s least vertex,
+        or with none of the classes' least vertices."""
+        row = self[v]
+        if i >= 0:
+            c = classes[i]
+            return ok & row[(c & -c).bit_length() - 1]
+        for c in classes:
+            ok &= ~row[(c & -c).bit_length() - 1]
+        return ok
 
 
 def _neighborhood(adj, mask):
@@ -366,12 +385,19 @@ class GameSolver:
 
     On the ``_TABULATE_AFTER``-th failed completion search, a tight solver
     lists every proper k-coloring of the graph with ``_extend`` and keeps
-    them in ``colorings``.  From then on a position completes iff some
-    listed coloring puts each of its classes inside a class of its own,
-    the same answer the search gives, so values, memo contents and node
-    counts do not change.  A graph with more than ``_COLORINGS_LIMIT``
-    proper k-colorings gets no table and keeps the search.  The table is
-    this solver's own: no other k reads it.
+    them in ``colorings``.  From then on a position completes iff its
+    consistent set, the listed colorings that put each of its classes
+    inside a class of its own, is not empty: the same answer the search
+    gives.  A position gets that set from its parent (``_search``'s ``ok``),
+    cut by the table rows of the vertex the move colors, and runs the gate
+    before it builds its move list.  A child whose set is empty is counted
+    as a node and stored as lost by its parent, without a ``_search`` call;
+    no rule could decide it otherwise, since a position that peels has a
+    completion.  So values, memo contents and node counts do not change.
+    A graph with more than ``_COLORINGS_LIMIT`` proper k-colorings gets no
+    table and keeps the search after the peel, as does every solver
+    before its table.  The table is this solver's own: no other k reads
+    it.
 
     The full mask, the degree table and the twin profile cache do not
     depend on k; ``chi_i`` builds them once (``_tables``) for all its k.
@@ -410,19 +436,25 @@ class GameSolver:
             return hit
         return self._search(classes, key)
 
-    def _search(self, classes, key):
+    def _search(self, classes, key, ok=None):
         """Value of a position whose key is not in the memo; stores it
-        unless every vertex is colored."""
+        unless every vertex is colored.  ok is its consistent set in the
+        coloring table (computed here when None), never 0."""
         colored = 0
         for c in classes:
             colored |= c
         free = self._full & ~colored
         if not free:
             return True
-        self.nodes += 1
-        if self.node_budget is not None and self.nodes > self.node_budget:
-            raise ResourceBudgetExceeded(f"node budget {self.node_budget} exceeded")
+        self._count_node()
         memo = self.memo
+        table = self.colorings
+        if table is not None:
+            if ok is None:
+                ok = table.extends(classes)
+            if not ok:
+                memo[key] = False
+                return False
         adj = self.g.adj
         open_slot = len(classes) < self.k
         if not free & (free - 1):
@@ -473,7 +505,7 @@ class GameSolver:
                 memo[key] = False
                 return False
             self.tight = _extend(adj, self.k - 1, (), self._full) is None
-        elif (self.tight and not _inside(classes, self.witness)
+        elif (self.tight and table is None and not _inside(classes, self.witness)
               and not self._completes(classes, self._full & ~colored)):
             memo[key] = False
             return False
@@ -492,7 +524,18 @@ class GameSolver:
                 child_key = key_of(child)
                 win = memo.get(child_key)
                 if win is None:
-                    win = search(child, child_key)
+                    table = self.colorings
+                    if table is None:
+                        win = search(child, child_key)
+                    else:
+                        if ok is None:  # the table was built below this position
+                            ok = table.extends(classes)
+                        sub = table.child(ok, classes, bit.bit_length() - 1, i)
+                        if sub:
+                            win = search(child, child_key, sub)
+                        else:
+                            self._count_node()
+                            memo[child_key] = win = False
                 else:
                     self.memo_hits += 1
                 if not win:
@@ -503,13 +546,16 @@ class GameSolver:
         memo[key] = False
         return False
 
+    def _count_node(self):
+        self.nodes += 1
+        if self.node_budget is not None and self.nodes > self.node_budget:
+            raise ResourceBudgetExceeded(f"node budget {self.node_budget} exceeded")
+
     def _completes(self, classes, free):
         """True iff the classes extend to a proper k-coloring of their
-        vertices and free: by the coloring table once there is one, else by
-        _extend, whose _TABULATE_AFTER-th failure tabulates every proper
-        k-coloring of the graph unless there are more than _COLORINGS_LIMIT."""
-        if self.colorings is not None:
-            return self.colorings.extends(classes)
+        vertices and free, by _extend, whose _TABULATE_AFTER-th failure
+        tabulates every proper k-coloring of the graph unless there are
+        more than _COLORINGS_LIMIT."""
         adj = self.g.adj
         done = _extend(adj, self.k, classes, free)
         if done is not None:

@@ -321,7 +321,7 @@ def test_extend_matches_brute_completion(rng, all_le6):
                 done = _extend(g.adj, k, classes, free)
                 completable = _brute_completable(g, k, state.colors)
                 assert (done is not None) == completable, (g.edges(), k, state.colors)
-                assert table.extends(classes) == completable, (g.edges(), k, state.colors)
+                assert bool(table.extends(classes)) == completable, (g.edges(), k, state.colors)
                 if done is None:
                     none += 1
                     continue
@@ -893,6 +893,34 @@ def _tight_solvers(graphs):
             yield g, k, solver
 
 
+def test_child_consistent_set_matches_a_fresh_one(rng, all_le6):
+    """The consistent set a child gets from its parent's, by the table rows
+    of the vertex it colors, equals the child's own: for every free vertex
+    of the empty and of random partial colorings, joining each class it
+    fits and a class of its own."""
+    derived = empty = 0
+    for g in all_le6:
+        for k in range(1, g.n + 1):
+            colorings = []
+            _extend(g.adj, k, (), g.full_mask(), None, colorings)
+            table = _Colorings(g.n, k, colorings)
+            for trial in range(4):
+                state = GameState(g, k) if not trial else _random_partial_coloring(rng, g, k)
+                classes = _classes(state)
+                ok = table.extends(classes)
+                for v in bits(g.full_mask() & ~sum(classes)):
+                    children = [(i, classes[:i] + (c | 1 << v,) + classes[i + 1:])
+                                for i, c in enumerate(classes) if not c & g.adj[v]]
+                    if len(classes) < k:
+                        children.append((-1, classes + (1 << v,)))
+                    for i, child in children:
+                        sub = table.child(ok, classes, v, i)
+                        assert sub == table.extends(child), (g.edges(), k, state.colors, v, i)
+                        derived += 1
+                        empty += not sub
+    assert derived >= 20000 and empty >= 5000
+
+
 def test_gate_is_set_only_at_chi(rng):
     """The root sets the gate iff it has a k-coloring but no
     (k-1)-coloring and does not peel, so at k = chi < col only."""
@@ -1042,16 +1070,56 @@ def _gated_solve(g, k):
     return solver, solver.value(())
 
 
-def test_heavy_gated_tables_are_pinned():
+def _counted(monkeypatch, name):
+    """A one-item list counting the calls of GameSolver's method name."""
+    calls = [0]
+    method = getattr(GameSolver, name)
+
+    def counted(self, *args):
+        calls[0] += 1
+        return method(self, *args)
+
+    monkeypatch.setattr(GameSolver, name, counted)
+    return calls
+
+
+RANDOM13_04 = "Lr~nnTx|\\ljT{~"
+
+
+def test_heavy_gated_tables_are_pinned(monkeypatch):
     """Two deep-solve graphs at k = chi whose solves fail many completion
     searches, random13-04 (the costliest table) and random12-01: each
-    builds its coloring table and keeps its counts."""
-    solver, win = _gated_solve(parse_graph6("Lr~nnTx|\\ljT{~"), 6)
+    builds its coloring table and keeps its counts, and once it has the
+    table a child with no consistent coloring is decided in its parent,
+    without a _search call."""
+    searches = _counted(monkeypatch, "_search")
+    solver, win = _gated_solve(parse_graph6(RANDOM13_04), 6)
     assert (win, solver.nodes, len(solver.memo), solver.memo_hits) == (False, 5505, 5505, 5649)
-    assert solver.tight and solver.colorings is not None
+    assert solver.tight and solver.colorings is not None and searches == [2420]
+    searches[0] = 0
     solver, win = _gated_solve(parse_graph6("Kz\\qiufmVnx\\"), 5)
     assert (win, solver.nodes, len(solver.memo)) == (True, 578, 578)
-    assert solver.tight and solver.colorings is not None
+    assert solver.tight and solver.colorings is not None and searches == [259]
+
+
+def test_node_budget_counts_children_decided_in_the_parent():
+    """random13-04 at k = 6 searches 5,505 nodes, most of them children
+    decided in their parent, and the budget counts each of them."""
+    g = parse_graph6(RANDOM13_04)
+    with pytest.raises(ResourceBudgetExceeded):
+        GameSolver(g, 6, node_budget=5504).value(())
+    solver = GameSolver(g, 6, node_budget=5505)
+    assert not solver.value(()) and solver.nodes == 5505
+
+
+def test_untabled_tight_solve_keeps_the_gate_after_the_peel(monkeypatch):
+    """A tight solver that never fails enough completion searches to build
+    the table gates only the positions the peel leaves open: random12-12
+    at k = 5 searches 35 nodes with 9 completion searches."""
+    completes = _counted(monkeypatch, "_completes")
+    solver, win = _gated_solve(parse_graph6("KntT}WnBwjjt"), 5)
+    assert (win, solver.nodes, solver.tight, solver.colorings) == (True, 35, True, None)
+    assert completes == [9]
 
 
 def test_coloring_table_over_the_cap_keeps_the_search(monkeypatch):
