@@ -360,9 +360,9 @@ def _check_formula_kc5(g):
 def _check_detector_oracle(g):
     disagreements = []
     for pat in family_figure1():
-        fast = find_induced(g, pat) is not None
-        slow = brute_force_induced(g, pat)
-        if fast != slow:
+        emb = find_induced(g, pat)
+        bad_witness = emb is not None and not emb.verify()
+        if bad_witness or (emb is not None) != brute_force_induced(g, pat):
             disagreements.append(write_graph6(pat))
     return {"ok": not disagreements, "disagreements": disagreements}
 

@@ -4,13 +4,28 @@ All searches are deterministic: candidates are scanned in ascending id order,
 so the witness returned is the lexicographically least one.  Patterns are
 small (<= 10 vertices); `find_induced` is a backtracking search with forward
 checking over host-vertex bit masks, one candidate mask per pattern vertex.
+
+Two lex-leader rules (Crawford, Ginsberg, Luks and Roy, KR 1996) prune
+every partial map that cannot extend to the least embedding m*.  Composing
+m* with a pattern automorphism, or a host automorphism after it, gives
+another embedding, which is no smaller than m*:
+
+- if an automorphism of the pattern fixes 0..u-1 and sends u to x, then
+  m*(x) > m*(u);
+- swapping two twins of the host (equal open or closed neighbourhoods) is
+  an automorphism, so m* uses a twin only once every smaller twin of it is
+  used by an earlier pattern vertex.
+
+Both rules keep the id order of pattern vertices and of candidates, and
+m* obeys both, so the search still returns m* first.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, permutations
 
 from .errors import PatternTooLarge
-from .graphs import Graph, bits, induced, make_named, mask_of
+from .graphs import Graph, bits, induced, make_named, mask_of, twin_classes
 
 MAX_PATTERN = 10
 
@@ -45,64 +60,112 @@ class Embedding:
         return True
 
 
-def find_induced(host, pattern):
+def find_induced(host, pattern, _tables=None):
     """Lexicographically least induced embedding of pattern in host, or None.
 
     Pattern vertices are placed in id order, each at the least host vertex
     in its domain, a candidate mask that starts as the vertices of large
     enough degree.  Placing u at v narrows each later domain to v's
     neighbours or to its non-neighbours other than v, as ux is an edge or
-    not, and an empty domain backtracks.  Pruning drops only partial maps
-    with no extension, so the first map found is the least.
+    not, and an empty domain backtracks.  It also cuts the domain of each
+    later x in u's orbit under the pattern automorphisms that fix 0..u-1 to
+    the vertices above v, and v is skipped while a smaller twin of it is
+    unused.  Both cuts drop only maps that some automorphism turns into a
+    smaller embedding, so the first map found is still the least.
+    `is_family_free` passes the host's tables (`_tables`) for all its
+    patterns.
     """
     p, h, k = pattern, host, pattern.n
     if k > MAX_PATTERN:
         raise PatternTooLarge(f"pattern has {k} > {MAX_PATTERN} vertices")
     if k > h.n:
         return None
-    hadj = h.adj
-    fit = [0] * (h.n + 1)  # fit[t]: the host vertices of degree >= t
-    for v, row in enumerate(hadj):
+    fit, elder = _tables or _host_tables(h)
+    image = _search(h.adj, [fit[row.bit_count()] for row in p.adj], _plan(p.adj), elder)
+    return None if image is None else Embedding(p, h, image)
+
+
+def _host_tables(h):
+    """fit[t]: the vertices of degree >= t; elder[v]: v's smaller twins."""
+    fit = [0] * (h.n + 1)
+    for v, row in enumerate(h.adj):
         fit[row.bit_count()] |= 1 << v
     for t in reversed(range(h.n)):
         fit[t] |= fit[t + 1]
+    elder = [0] * h.n
+    for t in twin_classes(h):
+        while t & (t - 1):
+            v = t.bit_length() - 1
+            t ^= 1 << v
+            elder[v] = t
+    return fit, elder
+
+
+def _search(hadj, first, later, elder):
+    """Image tuple of the least map that sends each pattern vertex u into
+    first[u], passes the checks later[u] of `_plan`, and places a host
+    vertex v only once all of elder[v] is placed; None if there is none."""
+    k = len(first)
     # dom[u][x], x >= u: domain of pattern vertex x once 0..u-1 are placed.
-    dom = [[fit[row.bit_count()] for row in p.adj]] + [[0] * k for _ in range(k)]
-    later = [[(x, p.adj[u] >> x & 1) for x in range(u + 1, k)] for u in range(k)]
+    dom = [first] + [[0] * k for _ in range(k)]
     image = [0] * k
 
-    def place(u):
+    def place(u, used):
         if u == k:
             return True
         cur, nxt = dom[u], dom[u + 1]
+        free = ~used
         m = cur[u]
         while m:
             low = m & -m
             m ^= low
             v = low.bit_length() - 1
+            if elder[v] & free:
+                continue
             a = hadj[v]
             na = ~(a | low)
-            for x, edge in later[u]:
+            for x, edge, orbit in later[u]:
                 d = cur[x] & (a if edge else na)
+                if orbit:
+                    d &= -(low << 1)
                 if not d:
                     break
                 nxt[x] = d
             else:
                 image[u] = v
-                if place(u + 1):
+                if place(u + 1, used | low):
                     return True
         return False
 
-    if place(0):
-        return Embedding(p, h, tuple(image))
-    return None
+    return tuple(image) if place(0, 0) else None
+
+
+@lru_cache(maxsize=256)
+def _plan(adj):
+    """later[u] of the pattern with rows adj: (x, ux is an edge, x is in u's
+    orbit under the automorphisms fixing 0..u-1) for each x > u.  Each orbit
+    test is a search for an automorphism fixing 0..u-1 with u -> x."""
+    k = len(adj)
+    plain = [[(x, adj[u] >> x & 1, 0) for x in range(u + 1, k)] for u in range(k)]
+    degree = [row.bit_count() for row in adj]
+    fixed = [1 << v for v in range(k)]
+    anywhere = [mask_of(v for v in range(k) if degree[v] == d) for d in degree]
+    zero = [0] * k
+
+    def orbit(u, x):
+        first = fixed[:u] + [1 << x] + anywhere[u + 1:]
+        return _search(adj, first, plain, zero) is not None
+
+    return tuple([(x, edge, int(degree[x] == degree[u] and orbit(u, x)))
+                  for x, edge, _ in plain[u]] for u in range(k))
 
 
 def is_family_free(host, family):
     """(True, None) if no family member embeds induced, else
     (False, first witness) scanning the family in order."""
+    tables = _host_tables(host)
     for pattern in family:
-        emb = find_induced(host, pattern)
+        emb = find_induced(host, pattern, _tables=tables)
         if emb is not None:
             return False, emb
     return True, None
@@ -117,8 +180,13 @@ def find_induced_cycle(host, length):
     """
     if length < 3 or length > host.n:
         return None
-    emb = find_induced(host, make_named("C", length))
+    emb = find_induced(host, _cycle_pattern(length))
     return None if emb is None else list(emb.map)
+
+
+@lru_cache(maxsize=None)
+def _cycle_pattern(length):
+    return make_named("C", length)
 
 
 def is_bipartite(g):
@@ -130,8 +198,7 @@ def is_bipartite(g):
             continue
         color[root] = 0
         queue = [root]
-        while queue:
-            v = queue.pop(0)
+        for v in queue:  # the queue grows as it is read
             for u in bits(g.adj[v]):
                 if color[u] == -1:
                     color[u] = 1 - color[v]

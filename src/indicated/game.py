@@ -46,7 +46,7 @@ from .errors import (
     StrategyIllegalMove,
     TooLarge,
 )
-from .graphs import bits, complement
+from .graphs import bits, complement, twin_classes
 
 DEFAULT_SOLVE_LIMIT = 14
 _COLORINGS_LIMIT = 1024  # most colorings a tight solver tabulates
@@ -292,30 +292,6 @@ def _neighborhood(adj, mask):
 # ---------------------------------------------------------------------------
 # exact solver
 # ---------------------------------------------------------------------------
-
-def twin_classes(g):
-    """Partition of V into twin classes, ordered by least vertex: u,v land
-    together when adj[u] == adj[v] (open twins) or adj[u]+u == adj[v]+v
-    (closed twins).  Swapping within a class is a graph automorphism.
-
-    No vertex has both an open and a closed twin: if u,v are open twins
-    and v,w closed twins, then w is in N(v) = N(u), so u is in N[w] = N[v],
-    yet open twins are never adjacent.  So each class is one open group or
-    one closed group, and no two groups need merging."""
-    opened = {}
-    closed = {}
-    for v, row in enumerate(g.adj):
-        opened[row] = opened.get(row, 0) | 1 << v
-        closed[row | 1 << v] = closed.get(row | 1 << v, 0) | 1 << v
-    out = []
-    for v, row in enumerate(g.adj):
-        t = opened[row]
-        if not t & (t - 1):
-            t = closed[row | 1 << v]
-        if t & -t == 1 << v:
-            out.append(t)
-    return tuple(out)
-
 
 class _TwinProfiles(dict):
     """Class mask -> its twin count profile packed into one int: the count

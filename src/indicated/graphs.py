@@ -29,6 +29,7 @@ __all__ = [
     "to_dot",
     "components",
     "is_connected",
+    "twin_classes",
 ]
 
 
@@ -337,6 +338,30 @@ def components(g):
 
 def is_connected(g):
     return g.n <= 1 or len(components(g)) == 1
+
+
+def twin_classes(g):
+    """Partition of V into twin classes, ordered by least vertex: u,v land
+    together when adj[u] == adj[v] (open twins) or adj[u]+u == adj[v]+v
+    (closed twins).  Swapping within a class is a graph automorphism.
+
+    No vertex has both an open and a closed twin: if u,v are open twins
+    and v,w closed twins, then w is in N(v) = N(u), so u is in N[w] = N[v],
+    yet open twins are never adjacent.  So each class is one open group or
+    one closed group, and no two groups need merging."""
+    opened = {}
+    closed = {}
+    for v, row in enumerate(g.adj):
+        opened[row] = opened.get(row, 0) | 1 << v
+        closed[row | 1 << v] = closed.get(row | 1 << v, 0) | 1 << v
+    out = []
+    for v, row in enumerate(g.adj):
+        t = opened[row]
+        if not t & (t - 1):
+            t = closed[row | 1 << v]
+        if t & -t == 1 << v:
+            out.append(t)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

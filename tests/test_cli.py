@@ -279,6 +279,27 @@ def test_check_invariants_small(tmp_path):
     assert code == 0
 
 
+def test_detector_oracle_verifies_each_witness(monkeypatch):
+    """A witness that is no induced embedding is a disagreement, even when
+    find_induced and the brute force agree that one exists."""
+    from dataclasses import replace
+
+    real = cli.find_induced
+
+    def rotated_witness(g, pat):
+        emb = real(g, pat)
+        return emb and replace(emb, map=emb.map[1:] + emb.map[:1])
+
+    bull = write_graph6(make_named("Bull"))
+    code, out = run_cli(["check", "-", "detector-oracle"], stdin=bull)
+    assert code == 0 and parse_report(out)["records"][0]["ok"]
+    monkeypatch.setattr(cli, "find_induced", rotated_witness)
+    code, out = run_cli(["check", "-", "detector-oracle"], stdin=bull)
+    record = parse_report(out)["records"][0]
+    assert code != 0 and not record["ok"]
+    assert record["disagreements"] == [bull]
+
+
 @pytest.mark.parametrize("invariant", ["sandwich", "formula-kc5", "detector-oracle"])
 def test_check_refuses_kmax_its_invariant_does_not_read(invariant):
     code, out = run_cli(["check", "-", invariant, "--kmax", "3"],

@@ -1,7 +1,10 @@
+from itertools import permutations
+
 import pytest
 
 from indicated.detect import (
     MAX_PATTERN,
+    _plan,
     brute_force_induced,
     find_induced,
     find_induced_cycle,
@@ -23,12 +26,31 @@ from indicated.structure import (
     family_figure1,
     family_p5c4,
     family_p5k4kitebull,
+    family_p6c5_house_claw,
     family_p6c5claw,
     family_split_c5,
     family_sumner,
 )
 
-from builders import random_graph
+from builders import build_layered_c5_instance, random_graph, relabelled
+
+FAMILY_PATTERNS = (family_p5k4kitebull() + family_p6c5claw() + family_p6c5_house_claw()
+                   + family_p5c4() + family_sumner() + family_split_c5()
+                   + family_figure1())
+
+
+def _twin_rich_hosts(rng, count, max_n):
+    """Complete and independent expansions of random graphs on at most 6
+    vertices, modules of 1-3 vertices, ids shuffled, n <= max_n."""
+    hosts = []
+    while len(hosts) < count:
+        base = random_graph(rng, rng.randint(1, 6), p=rng.choice((0.3, 0.5, 0.7)))
+        sizes = [rng.randint(1, 3) for _ in range(base.n)]
+        if sum(sizes) > max_n:
+            continue
+        expand = rng.choice((complete_expansion, independent_expansion))
+        hosts.append(relabelled(rng, expand(base, sizes)))
+    return hosts
 
 
 def test_find_induced_examples():
@@ -194,13 +216,11 @@ def test_detector_agrees_with_brute_force(rng):
 
 def test_find_induced_witness_is_lex_minimum(rng):
     """The returned embedding is the lexicographic minimum over all induced
-    embeddings (brute-force enumerated)."""
-    from itertools import permutations
-
+    embeddings (brute-force enumerated), on random and twin-rich hosts."""
     patterns = [make_named("P", 3), make_named("P", 4), make_named("C", 4),
                 make_named("claw"), make_named("Bull")]
-    for _ in range(40):
-        host = random_graph(rng, rng.randint(3, 7))
+    hosts = [random_graph(rng, rng.randint(3, 7)) for _ in range(40)]
+    for host in hosts + _twin_rich_hosts(rng, 40, 7):
         for pat in patterns:
             best = None
             for image in permutations(range(host.n), pat.n):
@@ -255,9 +275,7 @@ def _per_bit_search(host, pattern):
 
 def test_find_induced_witness_matches_per_bit_search(rng):
     """The domain search returns the very map of the per-bit search."""
-    patterns = (family_p5k4kitebull() + family_p6c5claw() + family_p5c4()
-                + family_sumner() + family_split_c5() + family_figure1()
-                + [Graph(0)])
+    patterns = list(FAMILY_PATTERNS) + [Graph(0)]
     for n in range(11):
         larger = [Graph(n + 1)] if n < MAX_PATTERN else []
         for _ in range(12):
@@ -268,3 +286,52 @@ def test_find_induced_witness_matches_per_bit_search(rng):
     petersen = make_named("Petersen")
     emb = find_induced(petersen, petersen)
     assert emb.map == _per_bit_search(petersen, petersen) == tuple(range(10))
+
+
+def _orbits(pattern):
+    """u's orbit under the automorphisms fixing 0..u-1, for each u, from
+    every automorphism (brute force over permutations)."""
+    k = pattern.n
+    autos = [s for s in permutations(range(k))
+             if all(pattern.adj[s[v]] == sum(1 << s[w] for w in pattern.neighbors(v))
+                    for v in range(k))]
+    return [{s[u] for s in autos if s[:u] == tuple(range(u))} for u in range(k)]
+
+
+def _plan_orbits(pattern):
+    """The orbit the search plan flags for each u, u included."""
+    return [{u} | {x for x, _, orbit in row if orbit}
+            for u, row in enumerate(_plan(pattern.adj))]
+
+
+def test_plan_orbits_match_brute_force():
+    """Each plan flags exactly u's orbit under the automorphisms fixing
+    0..u-1: a flag on a non-orbit vertex would cut the least witness."""
+    patterns = (list(FAMILY_PATTERNS) + [make_named("C", n) for n in range(3, 9)]
+                + [make_named("P", n) for n in range(1, 8)] + [Graph(n) for n in range(8)])
+    for pat in patterns:
+        assert _plan_orbits(pat) == _orbits(pat), pat.edges()
+    sizes = [len(orbit) for orbit in _plan_orbits(make_named("Petersen"))]
+    assert sizes == [10, 3, 2, 2, 1, 1, 1, 1, 1, 1]
+    for pat in make_named("K", 10), Graph(10):
+        assert [len(orbit) for orbit in _plan_orbits(pat)] == list(range(10, 0, -1))
+
+
+def test_find_induced_witness_on_twin_rich_hosts(rng):
+    """Hosts full of twins, where the twin rule prunes most, still give the
+    map of the per-bit search for every family pattern: an elder mask that
+    took in a non-twin would skip the least witness."""
+    hosts = _twin_rich_hosts(rng, 80, 12)
+    layered = 0
+    while layered < 20:
+        g = build_layered_c5_instance(rng, max_n=12)
+        if g is not None:
+            hosts.append(g)
+            layered += 1
+    for host in hosts:
+        witnesses = [find_induced(host, pat) for pat in FAMILY_PATTERNS]
+        for pat, emb in zip(FAMILY_PATTERNS, witnesses):
+            assert (emb.map if emb else None) == _per_bit_search(host, pat), \
+                (host.edges(), pat.edges())
+        first = next((e for e in witnesses if e is not None), None)
+        assert is_family_free(host, FAMILY_PATTERNS) == (first is None, first)
