@@ -16,6 +16,7 @@ from . import reports
 from .detect import (
     brute_force_induced,
     find_induced,
+    find_induced_cycle,
     is_bipartite,
     is_chordal,
     is_family_free,
@@ -210,8 +211,8 @@ def _class_memberships(g):
     out["bipartite"] = is_bipartite(g) is not None
     out["chordal"] = is_chordal(g) is not None
     out["split"] = is_split(g) is not None
-    out["has_induced_c5"] = find_induced(g, make_named("C", 5)) is not None
-    out["has_induced_c6"] = find_induced(g, make_named("C", 6)) is not None
+    out["has_induced_c5"] = find_induced_cycle(g, 5) is not None
+    out["has_induced_c6"] = find_induced_cycle(g, 6) is not None
     return out
 
 

@@ -28,6 +28,7 @@ from .errors import PatternTooLarge
 from .graphs import Graph, bits, induced, make_named, mask_of, twin_classes
 
 MAX_PATTERN = 10
+_HOSTS_CACHED = 64  # hosts whose tables _host_tables keeps
 
 __all__ = [
     "Embedding",
@@ -60,7 +61,7 @@ class Embedding:
         return True
 
 
-def find_induced(host, pattern, _tables=None):
+def find_induced(host, pattern):
     """Lexicographically least induced embedding of pattern in host, or None.
 
     Pattern vertices are placed in id order, each at the least host vertex
@@ -72,19 +73,18 @@ def find_induced(host, pattern, _tables=None):
     the vertices above v, and v is skipped while a smaller twin of it is
     unused.  Both cuts drop only maps that some automorphism turns into a
     smaller embedding, so the first map found is still the least.
-    `is_family_free` passes the host's tables (`_tables`) for all its
-    patterns.
     """
     p, h, k = pattern, host, pattern.n
     if k > MAX_PATTERN:
         raise PatternTooLarge(f"pattern has {k} > {MAX_PATTERN} vertices")
     if k > h.n:
         return None
-    fit, elder = _tables or _host_tables(h)
+    fit, elder = _host_tables(h)
     image = _search(h.adj, [fit[row.bit_count()] for row in p.adj], _plan(p.adj), elder)
     return None if image is None else Embedding(p, h, image)
 
 
+@lru_cache(maxsize=_HOSTS_CACHED)
 def _host_tables(h):
     """fit[t]: the vertices of degree >= t; elder[v]: v's smaller twins."""
     fit = [0] * (h.n + 1)
@@ -98,7 +98,7 @@ def _host_tables(h):
             v = t.bit_length() - 1
             t ^= 1 << v
             elder[v] = t
-    return fit, elder
+    return tuple(fit), tuple(elder)
 
 
 def _search(hadj, first, later, elder):
@@ -163,9 +163,8 @@ def _plan(adj):
 def is_family_free(host, family):
     """(True, None) if no family member embeds induced, else
     (False, first witness) scanning the family in order."""
-    tables = _host_tables(host)
     for pattern in family:
-        emb = find_induced(host, pattern, _tables=tables)
+        emb = find_induced(host, pattern)
         if emb is not None:
             return False, emb
     return True, None

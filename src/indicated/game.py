@@ -35,6 +35,7 @@ on its own: the table belongs to one solver.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import (
     AlreadyColored,
@@ -51,6 +52,7 @@ from .graphs import bits, complement, twin_classes
 DEFAULT_SOLVE_LIMIT = 14
 _COLORINGS_LIMIT = 1024  # most colorings a tight solver tabulates
 _TABULATE_AFTER = 8      # failed completion searches before it tabulates
+_GRAPHS_CACHED = 64      # graphs whose tables _solver_tables keeps
 
 __all__ = [
     "GameState",
@@ -316,11 +318,12 @@ class _TwinProfiles(dict):
         return p
 
 
+@lru_cache(maxsize=_GRAPHS_CACHED)
 def _solver_tables(g):
     """The full mask, the degree table and the twin profile cache (None
-    when every twin class is a singleton) of g."""
+    when every twin class is a singleton) of g, shared by its solvers."""
     tw = twin_classes(g)
-    return (g.full_mask(), [row.bit_count() for row in g.adj],
+    return (g.full_mask(), tuple(row.bit_count() for row in g.adj),
             _TwinProfiles(tw) if len(tw) < g.n else None)
 
 
@@ -376,10 +379,10 @@ class GameSolver:
     it.
 
     The full mask, the degree table and the twin profile cache do not
-    depend on k; ``chi_i`` builds them once (``_tables``) for all its k.
+    depend on k; they are built once per graph, in a bounded cache.
     """
 
-    def __init__(self, g, k, node_budget=None, _tables=None):
+    def __init__(self, g, k, node_budget=None):
         if k < 1:
             raise BadParam("palette size must be >= 1")
         self.g = g
@@ -393,7 +396,7 @@ class GameSolver:
         self.witness = None
         self.colorings = None
         self._tabulate = _TABULATE_AFTER
-        self._full, self._deg, self._twins = _tables or _solver_tables(g)
+        self._full, self._deg, self._twins = _solver_tables(g)
 
     def _key(self, classes):
         if self._twins is None:
@@ -676,8 +679,8 @@ def chi_i(g, kmax=None, *, solve_limit=DEFAULT_SOLVE_LIMIT, node_budget=None):
     """Least winnable palette size plus the full per-k table for 1..kmax.
 
     Each k is searched with its own memo and root proofs, while the graph's
-    tables are built once per table: winnability is not assumed monotone,
-    and the table is reported as computed.
+    tables are built once per graph, in a bounded cache: winnability is not
+    assumed monotone, and the table is reported as computed.
     """
     if kmax is not None and kmax < 1:
         raise BadParam("kmax must be >= 1")
@@ -687,10 +690,8 @@ def chi_i(g, kmax=None, *, solve_limit=DEFAULT_SOLVE_LIMIT, node_budget=None):
         kmax = g.n
     if g.n > solve_limit:
         raise TooLarge(f"n={g.n} exceeds solve limit {solve_limit}")
-    tables = _solver_tables(g)
     # one solver at a time: each is freed once its k is decided
-    table = {k: GameSolver(g, k, node_budget, _tables=tables).value(())
-             for k in range(1, kmax + 1)}
+    table = {k: GameSolver(g, k, node_budget).value(()) for k in range(1, kmax + 1)}
     for k in range(1, kmax + 1):
         if table[k]:
             return ChiIResult(k, table)

@@ -622,8 +622,7 @@ def strat_p5c4(g, k):
 def strat_p6c5_class(g, k):
     """Per-component complete-C6-expansion plans for {P6,C5,house,claw}-free
     graphs whose components all contain an induced C6."""
-    free, witness = is_family_free(g, family_p6c5_house_claw())
-    if not free:
+    if not is_family_free(g, family_p6c5_house_claw())[0]:
         raise NotApplicable("graph is not {P6,C5,house,claw}-free")
     return strat_components(g, k, strat_kc6)
 

@@ -2,6 +2,7 @@ from itertools import permutations
 
 import pytest
 
+import indicated.detect as detect
 from indicated.detect import (
     MAX_PATTERN,
     _plan,
@@ -93,6 +94,19 @@ def test_find_induced_cycle_examples():
         assert g.has_edge(cyc[i], cyc[(i + 1) % 5])
     assert find_induced_cycle(make_named("K", 4), 4) is None
     assert find_induced_cycle(make_named("C", 6), 6) == [0, 1, 2, 3, 4, 5]
+
+
+def test_detectors_share_the_host_tables(monkeypatch):
+    """A family scan, a cycle search and a plain pattern search on one host
+    find its twin classes once: the host's tables are built once per graph."""
+    twins, calls = detect.twin_classes, []
+    detect._host_tables.cache_clear()
+    monkeypatch.setattr(detect, "twin_classes", lambda g: calls.append(g) or twins(g))
+    g = complete_expansion(make_named("C", 6), (2, 1, 2, 1, 1, 1))
+    assert is_family_free(g, family_p5k4kitebull())[0] is False
+    assert find_induced_cycle(g, 5) is None
+    assert find_induced(g, make_named("C", 6)) is not None
+    assert calls == [g]
 
 
 def test_bipartite_certificates():

@@ -1139,14 +1139,16 @@ def test_coloring_table_over_the_cap_keeps_the_search(monkeypatch):
 
 
 def test_chi_i_searches_the_pinned_counts(connected_le7, monkeypatch):
-    """chi_i itself, sharing one set of graph tables across its k, searches
-    the pinned nodes and memo entries, finds the twin classes once per call
-    and holds one solver at a time."""
+    """chi_i itself searches the pinned nodes and memo entries and holds one
+    solver at a time.  All its solvers share one set of graph tables, and a
+    second chi_i on an equal graph finds them cached: it builds none."""
     seen = {"nodes": 0, "entries": 0, "live": 0, "peak": 0, "twins": 0}
+    held = []
 
     class CountingSolver(GameSolver):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
+            held.append((self._deg, self._twins))
             seen["live"] += 1
             seen["peak"] = max(seen["peak"], seen["live"])
 
@@ -1164,9 +1166,15 @@ def test_chi_i_searches_the_pinned_counts(connected_le7, monkeypatch):
 
     def counts(g, kmax):
         before = dict(seen)
-        chi_i(g, kmax)
-        assert seen["twins"] == before["twins"] + 1
-        return seen["nodes"] - before["nodes"], seen["entries"] - before["entries"]
+        held.clear()
+        result = chi_i(g, kmax)
+        found = seen["nodes"] - before["nodes"], seen["entries"] - before["entries"]
+        built = seen["twins"]
+        assert chi_i(Graph.from_rows(g.adj), kmax).winnable == result.winnable
+        assert seen["twins"] == built
+        deg, twins = held[0]
+        assert all(d is deg and t is twins for d, t in held)
+        return found
 
     assert _pinned_counts(connected_le7, counts) == PINNED_COUNTS
     assert seen["peak"] == 1 and seen["live"] == 0

@@ -1,7 +1,7 @@
 """Static checks over the package source: every import is used, every
 private function, class or method is referenced somewhere in the package,
-and every function or method reads each of its parameters, so code that a
-change leaves behind shows up as a failure."""
+every function or method reads each of its parameters, and no parameter is
+private, so code that a change leaves behind shows up as a failure."""
 
 import ast
 from pathlib import Path
@@ -79,6 +79,12 @@ def _only_raises_not_implemented(body):
     return isinstance(exc, ast.Name) and exc.id == "NotImplementedError"
 
 
+def _parameters(node):
+    a = node.args
+    return a.posonlyargs + a.args + a.kwonlyargs + \
+        [p for p in (a.vararg, a.kwarg) if p is not None]
+
+
 def unread_parameters(sources):
     """file:line function(parameter) for each parameter, other than self and
     cls, that a function or method, public or private (nested ones
@@ -93,11 +99,22 @@ def unread_parameters(sources):
                 continue
             read = {n.id for stmt in node.body for n in ast.walk(stmt)
                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-            a = node.args
-            params = a.posonlyargs + a.args + a.kwonlyargs + \
-                [p for p in (a.vararg, a.kwarg) if p is not None]
-            out += [f"{fname}:{node.lineno} {node.name}({p.arg})" for p in params
+            out += [f"{fname}:{node.lineno} {node.name}({p.arg})" for p in _parameters(node)
                     if p.arg not in read and p.arg not in ("self", "cls")]
+    return out
+
+
+def private_parameters(sources):
+    """file:line function(parameter) for each parameter of a function or
+    method, public or private, whose name starts with an underscore: a
+    private argument makes its callers know what the function should keep
+    to itself."""
+    out = []
+    for fname, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.FunctionDef):
+                out += [f"{fname}:{node.lineno} {node.name}({p.arg})"
+                        for p in _parameters(node) if p.arg.startswith("_")]
     return out
 
 
@@ -111,6 +128,10 @@ def test_package_has_no_unreferenced_private_definitions():
 
 def test_functions_read_every_parameter():
     assert unread_parameters(_package_sources()) == []
+
+
+def test_functions_take_no_private_parameters():
+    assert private_parameters(_package_sources()) == []
 
 
 def test_source_checks_catch_leftovers():
@@ -158,3 +179,16 @@ def test_source_checks_catch_leftovers():
     assert unread_parameters({"m.py": unread}) == [
         "m.py:1 strat_union(k)", "m.py:1 strat_union(rest)",
         "m.py:17 _check_sandwich(kmax)", "m.py:2 guard(state)", "m.py:14 _private(state)"]
+    private = (
+        "def find(host, pattern, _tables=None):\n"
+        "    return _tables or host\n"
+        "\n"
+        "class Solver:\n"
+        "    def __init__(self, g, *, _cache=None):\n"
+        "        self.t = _cache or g\n"
+        "\n"
+        "    def _step(self, state):\n"
+        "        return state\n"
+    )
+    assert private_parameters({"m.py": private}) == [
+        "m.py:1 find(_tables)", "m.py:5 __init__(_cache)"]
