@@ -70,7 +70,7 @@ def parse_graph_spec(text):
     m = _EXPANSION_RE.match(text)
     if m:
         base = make_named("C", int(m.group(2)))
-        sizes = tuple(int(x) for x in m.group(3).split(","))
+        sizes = tuple(_int_list(m.group(3), "expansion sizes"))
         builder = complete_expansion if m.group(1).upper() == "K" else independent_expansion
         return builder(base, sizes)
     try:

@@ -218,8 +218,6 @@ def is_chordal(g):
     certificate self-checking.
     """
     n = g.n
-    if n == 0:
-        return ()
     weight = [0] * n
     picked = [False] * n
     mcs = []
@@ -256,8 +254,6 @@ def is_split(g):
     certificate.
     """
     n = g.n
-    if n == 0:
-        return [], []
     order = sorted(range(n), key=lambda v: (-g.degree(v), v))
     degs = [g.degree(v) for v in order]
     m = 0

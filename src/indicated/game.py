@@ -337,18 +337,18 @@ class GameSolver:
     key is the sorted class-mask tuple itself.  Ben's replies collapse fresh
     colors into one branch, since unused colors are interchangeable.
 
-    A position with one uncolored vertex is decided in place: the selector
-    wins iff that vertex has a legal color.  Completed colorings are never
-    built or stored, so after a fresh ``value(())`` the memo holds exactly
-    one entry per counted node.  Children are probed in the memo before the
-    search recurses into them.
-
     A position with no blocked vertex is stored as a win, without a child,
     when its uncolored vertices peel (the elimination proof of the module
     docstring); at the root that is every k >= col, in one node.  The peel
     runs only when some vertex peels at once, a test the move loop makes
     from a degree table and the colored-neighbor count it takes for move
     ordering.  Values are exact either way; only the node count drops.
+
+    So a position with one uncolored vertex takes one node: lost if that
+    vertex is blocked, else won, as it has no uncolored neighbor and peels
+    at once.  Completed colorings are never built or stored, so after a
+    fresh ``value(())`` the memo holds exactly one entry per counted node.
+    Children are probed in the memo before the search recurses into them.
 
     A root that does not peel is stored as lost in one node when ``_extend``
     finds no proper k-coloring (the exhausted search is the witness).  A
@@ -436,12 +436,6 @@ class GameSolver:
                 return False
         adj = self.g.adj
         open_slot = len(classes) < self.k
-        if not free & (free - 1):
-            # the last vertex: every legal color completes the coloring
-            row = adj[free.bit_length() - 1]
-            win = open_slot or any(not (c & row) for c in classes)
-            memo[key] = win
-            return win
         fresh = [-1] if open_slot else []
         # a vertex's legal colors: its replies plus the unused colors that
         # the one fresh reply stands for
@@ -582,7 +576,7 @@ class GameSolver:
         for m in by_color:
             colored |= m
         free = self._full & ~colored
-        if not free or _first_blocked(self.g.adj, by_color, free) is not None:
+        if _first_blocked(self.g.adj, by_color, free) is not None:
             return None
         fallback = None
         for v in bits(free):
@@ -804,9 +798,6 @@ _CHROMATIC_LIMIT = 20    # chi_exact
 def max_clique(g):
     """Maximum clique as a sorted vertex list (branch and bound with a
     greedy coloring bound; deterministic)."""
-    n = g.n
-    if n == 0:
-        return []
     adj = g.adj
     best = []
 
@@ -850,15 +841,10 @@ def chi_exact(g):
     greedy upper bound."""
     if g.n > _CHROMATIC_LIMIT:
         raise TooLarge(f"n={g.n} exceeds chromatic limit {_CHROMATIC_LIMIT}")
-    n = g.n
-    if n == 0:
-        return 0
     adj = g.adj
     clique = max_clique(g)
     lower = len(clique)
     upper = _greedy_chi(g)
-    if lower == upper:
-        return lower
     seed = tuple(1 << v for v in clique)
     for k in range(lower, upper):
         if _extend(adj, k, seed, g.full_mask() & ~sum(seed)) is not None:

@@ -409,7 +409,10 @@ def parse_graph6(line):
     text = line.strip().removeprefix(_G6_HEADER)
     if not text:
         raise MalformedGraph6("empty graph6 line", 0)
-    raw = text.encode("ascii", errors="replace")
+    try:
+        raw = text.encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise MalformedGraph6(f"non-ASCII character {text[exc.start]!r}", exc.start) from None
     first = raw[0]
     if first == 126:
         raise MalformedGraph6("multi-byte vertex counts (n > 62) unsupported", 0)

@@ -104,6 +104,11 @@ def test_analyze_malformed_input_exits_2():
     code, out = run_cli(["analyze", "thisisnotagraph~~~"])
     assert code == 2
     assert "error" in parse_report(out)
+    for sizes in ("1,,1,1,1", "1,1,1,1,1,"):  # an empty expansion size
+        code, out = run_cli(["analyze", f"KC5:{sizes}"])
+        assert code == 2
+        assert parse_report(out)["error"] == \
+            f"BadParam: expansion sizes {sizes!r} is not a comma-separated list of integers"
 
 
 def test_analyze_kmax_zero_is_not_the_default():
@@ -322,6 +327,17 @@ def test_check_refuses_limit_and_budget_its_invariant_does_not_read(invariant, f
     assert rep["records"] == []
 
 
+def test_check_non_ascii_graph6_is_error_row():
+    """A non-ASCII character makes a malformed record, not a '?' that reads
+    "Déc" as the graph D?c."""
+    code, out = run_cli(["check", "-", "sandwich"], stdin="Déc\n")
+    rep = parse_report(out)
+    assert rep["records"] == [{"graph6": "Déc", "error":
+                               "MalformedGraph6: non-ASCII character 'é' (byte offset 1)"}]
+    assert rep["summary"]["errors"] == 1
+    assert code == 0
+
+
 def test_check_record_fault_is_error_row(tmp_path, monkeypatch):
     """An unexpected exception in one record becomes an error row, as a
     package error does, and the rest of the corpus still runs."""
@@ -461,6 +477,8 @@ def test_play_scripted_selector_loses_c4():
     ["C5", "3", "scripted:0,5"],
     ["C5", "3", "scripted:-1"],
     ["C4", "2", "solver", "--ben", "script", "--script", "1,x"],
+    ["KC5:1,,1,1,1", "3", "kc5"],
+    ["KC5:1,1,1,1,1,", "3", "kc5"],
 ])
 def test_play_malformed_arguments_exit_2(argv):
     code, out = run_cli(["play"] + argv)

@@ -160,6 +160,7 @@ def test_split_certificates():
     assert is_split(make_named("C", 4)) is None
     assert is_split(make_named("C", 5)) is None
     assert is_split(make_named("P", 4)) is not None
+    assert is_split(Graph(0)) == ([], [])
 
 
 def test_split_clique_side_is_maximum(rng):

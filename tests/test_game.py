@@ -245,6 +245,8 @@ def test_exact_oracles():
     assert omega_exact(make_named("Kite")) == 3
     assert chi_exact(make_named("Petersen")) == 3
     assert chi_exact(Graph(0)) == 0
+    assert max_clique(Graph(0)) == []
+    assert omega_exact(Graph(0)) == alpha_exact(Graph(0)) == 0
     assert chi_exact(Graph(4)) == 1
     assert omega_exact(join(make_named("K", 3), make_named("C", 5))) == 5
     with pytest.raises(TooLarge):
@@ -536,8 +538,8 @@ def test_twin_key_matches_count_tuple_reference(rng):
 
 
 class _ParentSearchSolver(GameSolver):
-    """The search as it was before one-vertex positions were decided in
-    place: it recurses into, and memoizes, every completed coloring."""
+    """The search as it was before one-vertex positions were decided without
+    a child: it recurses into, and memoizes, every completed coloring."""
 
     def value(self, classes=()):
         """True iff the selector wins with optimal play from this
@@ -658,11 +660,18 @@ def _parent_principal_line(solver):
 
 
 def test_last_vertex_shortcut_matches_parent_search(rng):
-    """Deciding one-vertex positions in place, and peeling positions, keep
-    every value, principal line and optimal reply, and store exactly one
-    memo entry per node.  The peel only prunes, so the nodes and memo
-    entries are a subset of the parent's, and the hits are at most the
-    parent's hits on those entries."""
+    """Against the parent search, which recursed into and memoized every
+    completed coloring and did not peel, deciding each one-vertex position
+    by the blocked test or the peel, and peeling every position, keep every
+    value, principal line and optimal reply, and store exactly one memo
+    entry per node.  The peel only prunes, so the nodes and memo entries are
+    a subset of the parent's, and the hits are at most the parent's hits on
+    those entries.  A one-vertex position takes one node and one memo entry:
+    K2 with vertex 0 colored is won at k = 2 and lost, blocked, at k = 1."""
+    for k in (1, 2):
+        solver = GameSolver(make_named("K", 2), k)
+        assert solver.value((0b01,)) == (k == 2)
+        assert (solver.nodes, len(solver.memo)) == (1, 1)
     graphs = [random_graph(rng, rng.randint(1, 8)) for _ in range(50)]
     graphs.append(complete_expansion(make_named("C", 5), (2, 2, 1, 1, 1)))
     wins = losses = fewer = 0
@@ -1083,6 +1092,21 @@ def _counted(monkeypatch, name):
     return calls
 
 
+def _completed_searches(monkeypatch):
+    """A one-item list counting the _search calls on a position with every
+    vertex colored: a one-vertex position is decided by the blocked test or
+    the peel, so a solve builds no completed coloring."""
+    calls = [0]
+    search = GameSolver._search
+
+    def counted(self, classes, *args):
+        calls[0] += not self._full & ~sum(classes)
+        return search(self, classes, *args)
+
+    monkeypatch.setattr(GameSolver, "_search", counted)
+    return calls
+
+
 RANDOM13_04 = "Lr~nnTx|\\ljT{~"
 
 
@@ -1091,8 +1115,9 @@ def test_heavy_gated_tables_are_pinned(monkeypatch):
     searches, random13-04 (the costliest table) and random12-01: each
     builds its coloring table and keeps its counts, and once it has the
     table a child with no consistent coloring is decided in its parent,
-    without a _search call."""
+    without a _search call.  Neither searches a completed coloring."""
     searches = _counted(monkeypatch, "_search")
+    completed = _completed_searches(monkeypatch)
     solver, win = _gated_solve(parse_graph6(RANDOM13_04), 6)
     assert (win, solver.nodes, len(solver.memo), solver.memo_hits) == (False, 5505, 5505, 5649)
     assert solver.tight and solver.colorings is not None and searches == [2420]
@@ -1100,6 +1125,7 @@ def test_heavy_gated_tables_are_pinned(monkeypatch):
     solver, win = _gated_solve(parse_graph6("Kz\\qiufmVnx\\"), 5)
     assert (win, solver.nodes, len(solver.memo)) == (True, 578, 578)
     assert solver.tight and solver.colorings is not None and searches == [259]
+    assert completed == [0]
 
 
 def test_node_budget_counts_children_decided_in_the_parent():
@@ -1140,8 +1166,10 @@ def test_coloring_table_over_the_cap_keeps_the_search(monkeypatch):
 
 def test_chi_i_searches_the_pinned_counts(connected_le7, monkeypatch):
     """chi_i itself searches the pinned nodes and memo entries and holds one
-    solver at a time.  All its solvers share one set of graph tables, and a
-    second chi_i on an equal graph finds them cached: it builds none."""
+    solver at a time, and never searches a completed coloring.  All its
+    solvers share one set of graph tables, and a second chi_i on an equal
+    graph finds them cached: it builds none."""
+    completed = _completed_searches(monkeypatch)
     seen = {"nodes": 0, "entries": 0, "live": 0, "peak": 0, "twins": 0}
     held = []
 
@@ -1178,6 +1206,7 @@ def test_chi_i_searches_the_pinned_counts(connected_le7, monkeypatch):
 
     assert _pinned_counts(connected_le7, counts) == PINNED_COUNTS
     assert seen["peak"] == 1 and seen["live"] == 0
+    assert completed == [0]
 
 
 def test_chi_i_table_equals_ann_wins_per_k(all_le6, connected_le7):

@@ -196,6 +196,9 @@ def test_graph6_errors():
     assert exc.value.offset == 1
     with pytest.raises(MalformedGraph6):
         parse_graph6("A~")           # nonzero padding
+    with pytest.raises(MalformedGraph6) as exc:
+        parse_graph6("Déc")          # non-ASCII, not the graph D?c
+    assert exc.value.offset == 1
 
 
 def test_graph_immutable_and_hashable():

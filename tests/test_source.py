@@ -1,7 +1,8 @@
 """Static checks over the package source: every import is used, every
-private function, class or method is referenced somewhere in the package,
-every function or method reads each of its parameters, and no parameter is
-private, so code that a change leaves behind shows up as a failure."""
+private function, class, method or module constant is referenced somewhere
+in the package, every function or method reads each of its parameters, and
+no parameter is private, so code that a change leaves behind shows up as a
+failure."""
 
 import ast
 from pathlib import Path
@@ -16,7 +17,7 @@ def _package_sources():
 def _referenced(tree):
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
@@ -51,21 +52,30 @@ def unused_imports(sources):
     return out
 
 
+def _bound(node):
+    """The names a function or class definition, or an assignment to plain
+    names, binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    return []
+
+
 def unreferenced_privates(sources):
-    """file:line name for each module-level private function or class, and
-    each private method of a module-level class, that no module names."""
+    """file:line name for each module-level private function, class or
+    constant, and each private method of a module-level class, that no
+    module reads."""
     trees = {fname: ast.parse(text) for fname, text in sources.items()}
     used = set().union(*map(_referenced, trees.values()))
     out = []
     for fname, tree in trees.items():
         defs = list(tree.body)
         defs += [m for node in tree.body if isinstance(node, ast.ClassDef)
-                 for m in node.body]
+                 for m in node.body if isinstance(m, (ast.FunctionDef, ast.ClassDef))]
         for node in defs:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
-                    and node.name.startswith("_") and not node.name.endswith("__") \
-                    and node.name not in used:
-                out.append(f"{fname}:{node.lineno} {node.name}")
+            out += [f"{fname}:{node.lineno} {name}" for name in _bound(node)
+                    if name.startswith("_") and not name.endswith("__") and name not in used]
     return out
 
 
@@ -140,8 +150,12 @@ def test_source_checks_catch_leftovers():
         "from .graphs import bits, mask_of  # noqa: F401\n"
         "from .errors import BadParam\n"
         "\n"
+        "_DEPTH = 2\n"
+        "_WALK_LIMIT = 8\n"
+        "\n"
         "class _Walker:\n"
         "    def __init__(self):\n"
+        "        self.depth = _DEPTH\n"
         "        self._step()\n"
         "\n"
         "    def _step(self):\n"
@@ -155,7 +169,7 @@ def test_source_checks_catch_leftovers():
     )
     assert unused_imports({"m.py": leftover}) == ["m.py:1 os"]
     assert unreferenced_privates({"m.py": leftover}) == \
-        ["m.py:15 _bfs_layers", "m.py:12 _unused"]
+        ["m.py:6 _WALK_LIMIT", "m.py:19 _bfs_layers", "m.py:16 _unused"]
     unread = (
         "def strat_union(parts, k, *rest, scale=1):\n"
         "    def guard(state, v):\n"
