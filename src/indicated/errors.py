@@ -24,6 +24,7 @@ class MalformedGraph6(GraphGameError):
 
     def __init__(self, message, offset):
         super().__init__(f"{message} (byte offset {offset})")
+        self.message = message
         self.offset = offset
 
 

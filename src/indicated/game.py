@@ -27,9 +27,9 @@ runs at every searched position.  After a few positions fail it, the solver
 lists every proper k-coloring of the graph once, unless there are more than
 _COLORINGS_LIMIT, and answers the rest from that table.  From then on each
 position carries its consistent set, the listed colorings that put each of
-its classes inside a class of its own, and hands each child that set cut
-by the rows of the vertex it colors.  A child whose set is empty has no
-completion and is lost in its parent, before it builds a move list.  A
+its classes inside a class of its own, and cuts it by the rows of the
+vertex a move colors for each reply before it searches any.  A reply
+whose set is empty has no completion, so it alone refutes the move.  A
 solver without a table runs the proof after the peel.  Each k proves this
 on its own: the table belongs to one solver.
 """
@@ -270,18 +270,18 @@ class _Colorings(dict):
             seen.append(r)
         return ok
 
-    def child(self, ok, classes, v, i):
-        """The consistent set of the child where v joins classes[i] (a
-        class of its own when i < 0), from ok, that of the classes: the
-        colorings in which v shares a class with classes[i]'s least vertex,
-        or with none of the classes' least vertices."""
+    def children(self, ok, classes, v, replies):
+        """The consistent sets of the children where v joins classes[i],
+        for i in replies (i = -1, listed first, opens a class of its own),
+        from ok, that of the classes: the colorings that put v with
+        classes[i]'s least vertex, and the ones left over, as a coloring
+        puts v with at most one of them."""
         row = self[v]
-        if i >= 0:
-            c = classes[i]
-            return ok & row[(c & -c).bit_length() - 1]
-        for c in classes:
-            ok &= ~row[(c & -c).bit_length() - 1]
-        return ok
+        sets = [ok & row[(classes[i] & -classes[i]).bit_length() - 1]
+                for i in replies if i >= 0]
+        if replies[0] < 0:
+            sets.insert(0, ok ^ sum(sets))
+        return sets
 
 
 def _neighborhood(adj, mask):
@@ -369,14 +369,14 @@ class GameSolver:
     inside a class of its own, is not empty: the same answer the search
     gives.  A position gets that set from its parent (``_search``'s ``ok``),
     cut by the table rows of the vertex the move colors, and runs the gate
-    before it builds its move list.  A child whose set is empty is counted
-    as a node and stored as lost by its parent, without a ``_search`` call;
-    no rule could decide it otherwise, since a position that peels has a
-    completion.  So values, memo contents and node counts do not change.
+    before it builds its move list.  A declared search change: the parent
+    cuts the sets of every reply of a move first, and a reply whose set is
+    empty refutes the move alone (probed in the memo, else stored as lost
+    in one node), so no reply before it is searched.  Values do not change;
+    the nodes of a tabled solve drop, by half on the deep solves.
     A graph with more than ``_COLORINGS_LIMIT`` proper k-colorings gets no
-    table and keeps the search after the peel, as does every solver
-    before its table.  The table is this solver's own: no other k reads
-    it.
+    table and keeps the search after the peel, as does every solver before
+    its table.  The table is this solver's own: no other k reads it.
 
     The full mask, the degree table and the twin profile cache do not
     depend on k; they are built once per graph, in a bounded cache.
@@ -418,14 +418,16 @@ class GameSolver:
     def _search(self, classes, key, ok=None):
         """Value of a position whose key is not in the memo; stores it
         unless every vertex is colored.  ok is its consistent set in the
-        coloring table (computed here when None), never 0."""
+        coloring table (computed here when None), 0 when it is lost."""
         colored = 0
         for c in classes:
             colored |= c
         free = self._full & ~colored
         if not free:
             return True
-        self._count_node()
+        self.nodes += 1
+        if self.node_budget is not None and self.nodes > self.node_budget:
+            raise ResourceBudgetExceeded(f"node budget {self.node_budget} exceeded")
         memo = self.memo
         table = self.colorings
         if table is not None:
@@ -486,7 +488,16 @@ class GameSolver:
         key_of = self._key
         search = self._search
         for _, _, bit, replies in moves:
-            for i in replies:
+            table = self.colorings
+            if table is None:
+                sets = (None,) * len(replies)
+            else:
+                if ok is None:  # the table was built below this position
+                    ok = table.extends(classes)
+                sets = table.children(ok, classes, bit.bit_length() - 1, replies)
+                if 0 in sets:  # a reply with no completion refutes the move
+                    replies, sets = [replies[sets.index(0)]], (0,)
+            for i, sub in zip(replies, sets):
                 if i < 0:
                     child = tuple(sorted(classes + (bit,)))
                 else:
@@ -497,18 +508,7 @@ class GameSolver:
                 child_key = key_of(child)
                 win = memo.get(child_key)
                 if win is None:
-                    table = self.colorings
-                    if table is None:
-                        win = search(child, child_key)
-                    else:
-                        if ok is None:  # the table was built below this position
-                            ok = table.extends(classes)
-                        sub = table.child(ok, classes, bit.bit_length() - 1, i)
-                        if sub:
-                            win = search(child, child_key, sub)
-                        else:
-                            self._count_node()
-                            memo[child_key] = win = False
+                    win = search(child, child_key, sub)
                 else:
                     self.memo_hits += 1
                 if not win:
@@ -518,11 +518,6 @@ class GameSolver:
                 return True
         memo[key] = False
         return False
-
-    def _count_node(self):
-        self.nodes += 1
-        if self.node_budget is not None and self.nodes > self.node_budget:
-            raise ResourceBudgetExceeded(f"node budget {self.node_budget} exceeded")
 
     def _completes(self, classes, free):
         """True iff the classes extend to a proper k-coloring of their

@@ -407,39 +407,43 @@ _G6_HEADER = ">>graph6<<"
 def parse_graph6(line):
     """Decode one graph6 line (upper triangle, column-major)."""
     text = line.strip().removeprefix(_G6_HEADER)
-    if not text:
-        raise MalformedGraph6("empty graph6 line", 0)
     try:
-        raw = text.encode("ascii")
-    except UnicodeEncodeError as exc:
-        raise MalformedGraph6(f"non-ASCII character {text[exc.start]!r}", exc.start) from None
-    first = raw[0]
-    if first == 126:
-        raise MalformedGraph6("multi-byte vertex counts (n > 62) unsupported", 0)
-    if not 63 <= first <= 125:
-        raise MalformedGraph6(f"bad size byte {first}", 0)
-    n = first - 63
-    nbits = n * (n - 1) // 2
-    nbytes = (nbits + 5) // 6
-    if len(raw) - 1 != nbytes:
-        raise MalformedGraph6(
-            f"expected {nbytes} data bytes for n={n}, got {len(raw) - 1}", len(raw))
-    bits_acc = []
-    for off, byte in enumerate(raw[1:], start=1):
-        if not 63 <= byte <= 126:
-            raise MalformedGraph6(f"bad data byte {byte}", off)
-        val = byte - 63
-        bits_acc.extend((val >> s) & 1 for s in range(5, -1, -1))
-    if any(bits_acc[nbits:]):
-        raise MalformedGraph6("nonzero padding bits", len(raw) - 1)
-    edges = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits_acc[idx]:
-                edges.append((i, j))
-            idx += 1
-    return Graph(n, edges)
+        if not text:
+            raise MalformedGraph6("empty graph6 line", 0)
+        try:
+            raw = text.encode("ascii")
+        except UnicodeEncodeError as exc:
+            raise MalformedGraph6(f"non-ASCII character {text[exc.start]!r}",
+                                  exc.start) from None
+        first = raw[0]
+        if first == 126:
+            raise MalformedGraph6("multi-byte vertex counts (n > 62) unsupported", 0)
+        if not 63 <= first <= 125:
+            raise MalformedGraph6(f"bad size byte {first}", 0)
+        n = first - 63
+        nbits = n * (n - 1) // 2
+        nbytes = (nbits + 5) // 6
+        if len(raw) - 1 != nbytes:
+            raise MalformedGraph6(
+                f"expected {nbytes} data bytes for n={n}, got {len(raw) - 1}", len(raw))
+        bits_acc = []
+        for off, byte in enumerate(raw[1:], start=1):
+            if not 63 <= byte <= 126:
+                raise MalformedGraph6(f"bad data byte {byte}", off)
+            val = byte - 63
+            bits_acc.extend((val >> s) & 1 for s in range(5, -1, -1))
+        if any(bits_acc[nbits:]):
+            raise MalformedGraph6("nonzero padding bits", len(raw) - 1)
+        edges = []
+        idx = 0
+        for j in range(1, n):
+            for i in range(j):
+                if bits_acc[idx]:
+                    edges.append((i, j))
+                idx += 1
+        return Graph(n, edges)
+    except MalformedGraph6 as exc:  # count the offset from the start of line
+        raise MalformedGraph6(exc.message, exc.offset + len(line.rstrip()) - len(text)) from None
 
 
 def write_graph6(g):

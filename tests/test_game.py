@@ -483,10 +483,10 @@ def test_twin_key_keeps_kc5_table():
     """KC5:3,3,2,2,2 has chi = col = 6, so every k of 1..8 is decided at
     the root in one node with either key.  KC5:2,2,2,2,2 has chi 5 and col
     6, so k = 5 is searched, with the no-completion proof at every
-    position: there the twin key gives the class-multiset key's table in 69
-    nodes over k = 1..7 (338 with the class-multiset key)."""
+    position: there the twin key gives the class-multiset key's table in 65
+    nodes over k = 1..7 (312 with the class-multiset key)."""
     for mods, kmax, counts in (((3, 3, 2, 2, 2), 8, (8, 8)),
-                               ((2, 2, 2, 2, 2), 7, (69, 338))):
+                               ((2, 2, 2, 2, 2), 7, (65, 312))):
         g = complete_expansion(make_named("C", 5), mods)
         table = {}
         nodes = ref_nodes = 0
@@ -921,9 +921,11 @@ def test_child_consistent_set_matches_a_fresh_one(rng, all_le6):
                     children = [(i, classes[:i] + (c | 1 << v,) + classes[i + 1:])
                                 for i, c in enumerate(classes) if not c & g.adj[v]]
                     if len(classes) < k:
-                        children.append((-1, classes + (1 << v,)))
-                    for i, child in children:
-                        sub = table.child(ok, classes, v, i)
+                        children.insert(0, (-1, classes + (1 << v,)))
+                    if not children:
+                        continue
+                    sets = table.children(ok, classes, v, [i for i, _ in children])
+                    for (i, child), sub in zip(children, sets, strict=True):
                         assert sub == table.extends(child), (g.edges(), k, state.colors, v, i)
                         derived += 1
                         empty += not sub
@@ -1030,7 +1032,10 @@ def _pinned_counts(connected_le7, counts):
     return (tuple(total), *(counts(g, kmax) for g, kmax in _twin_heavy_tables()))
 
 
-PINNED_COUNTS = ((7040, 7040), (195, 195), (8, 8))
+PINNED_COUNTS = ((7035, 7035), (195, 195), (8, 8))
+# with a table from the first failed completion search, and with none
+TABLED_COUNTS = ((6992, 6992), (195, 195), (8, 8))
+UNTABLED_COUNTS = ((7040, 7040), (195, 195), (8, 8))
 
 
 def _fresh_counts(g, kmax):
@@ -1057,7 +1062,8 @@ def test_coloring_table_keeps_the_pinned_counts(connected_le7, monkeypatch, limi
     """Answering the gated completion queries from the coloring table, or
     from the search when the table is over the cap, searches the pinned
     nodes and memo entries: tabulating on the first failed search (22
-    connected_le7 solves build a table), or never (a cap of 0)."""
+    connected_le7 solves build a table, and the moves it refutes take 48
+    nodes off), or never (a cap of 0)."""
     built = []
     tabulate = GameSolver._completes
 
@@ -1070,8 +1076,42 @@ def test_coloring_table_keeps_the_pinned_counts(connected_le7, monkeypatch, limi
     monkeypatch.setattr(game, "_TABULATE_AFTER", 1)
     monkeypatch.setattr(game, "_COLORINGS_LIMIT", limit)
     monkeypatch.setattr(GameSolver, "_completes", completes)
-    assert _pinned_counts(connected_le7, _fresh_counts) == PINNED_COUNTS
+    assert _pinned_counts(connected_le7, _fresh_counts) == \
+        (TABLED_COUNTS if limit else UNTABLED_COUNTS)
     assert sum(built) == (22 if limit else 0)
+
+
+def test_tabled_solves_match_the_reference(rng, monkeypatch, all_le6, connected_le7):
+    """With a table from the first failed completion search, so that moves
+    are refuted from it, the root of every all_le6 and connected_le7 graph
+    at k = chi gets the canonicalization-free reference's value, and so do
+    random positions of each solver that built a table.  Where the graph
+    is twin-free, so that a memo key is the position's classes, every memo
+    entry holds the reference's value too."""
+    monkeypatch.setattr(game, "_TABULATE_AFTER", 1)
+    roots = tabled = positions = entries = 0
+    for g in list(all_le6) + list(connected_le7):
+        k = chi_exact(g)
+        solver = GameSolver(g, k)
+        assert solver.value(()) == ann_wins_reference(g, k), g.edges()
+        roots += 1
+        if solver.colorings is None:
+            continue
+        tabled += 1
+        for _ in range(6):
+            state = _random_partial_coloring(rng, g, k)
+            assert solver.value(_classes(state)) == \
+                ann_wins_reference(g, k, colors=state.colors), (g.edges(), k, state.colors)
+            positions += 1
+        if solver._twins is None:
+            for classes, win in solver.memo.items():
+                colors = [0] * g.n
+                for c, mask in enumerate(classes, 1):
+                    for v in bits(mask):
+                        colors[v] = c
+                assert win == ann_wins_reference(g, k, colors=colors), (g.edges(), k, colors)
+                entries += 1
+    assert roots == 1204 and tabled == 23 and positions == 138 and entries >= 150
 
 
 def _gated_solve(g, k):
@@ -1113,29 +1153,31 @@ RANDOM13_04 = "Lr~nnTx|\\ljT{~"
 def test_heavy_gated_tables_are_pinned(monkeypatch):
     """Two deep-solve graphs at k = chi whose solves fail many completion
     searches, random13-04 (the costliest table) and random12-01: each
-    builds its coloring table and keeps its counts, and once it has the
-    table a child with no consistent coloring is decided in its parent,
-    without a _search call.  Neither searches a completed coloring."""
+    builds its coloring table and keeps its counts.  Once it has the table,
+    a move with a reply that has no consistent coloring is refuted by that
+    reply alone, in one node, before any other reply is searched, so each
+    node is one _search call.  Neither searches a completed coloring."""
     searches = _counted(monkeypatch, "_search")
     completed = _completed_searches(monkeypatch)
     solver, win = _gated_solve(parse_graph6(RANDOM13_04), 6)
-    assert (win, solver.nodes, len(solver.memo), solver.memo_hits) == (False, 5505, 5505, 5649)
-    assert solver.tight and solver.colorings is not None and searches == [2420]
+    assert (win, solver.nodes, len(solver.memo), solver.memo_hits) == (False, 2187, 2187, 2114)
+    assert solver.tight and solver.colorings is not None and searches == [2187]
     searches[0] = 0
     solver, win = _gated_solve(parse_graph6("Kz\\qiufmVnx\\"), 5)
-    assert (win, solver.nodes, len(solver.memo)) == (True, 578, 578)
-    assert solver.tight and solver.colorings is not None and searches == [259]
+    assert (win, solver.nodes, len(solver.memo)) == (True, 209, 209)
+    assert solver.tight and solver.colorings is not None and searches == [209]
     assert completed == [0]
 
 
 def test_node_budget_counts_children_decided_in_the_parent():
-    """random13-04 at k = 6 searches 5,505 nodes, most of them children
-    decided in their parent, and the budget counts each of them."""
+    """random13-04 at k = 6 searches 2,187 nodes, many of them replies
+    that their parent took from the table to refute a move, and the budget
+    counts each of them."""
     g = parse_graph6(RANDOM13_04)
     with pytest.raises(ResourceBudgetExceeded):
-        GameSolver(g, 6, node_budget=5504).value(())
-    solver = GameSolver(g, 6, node_budget=5505)
-    assert not solver.value(()) and solver.nodes == 5505
+        GameSolver(g, 6, node_budget=2186).value(())
+    solver = GameSolver(g, 6, node_budget=2187)
+    assert not solver.value(()) and solver.nodes == 2187
 
 
 def test_untabled_tight_solve_keeps_the_gate_after_the_peel(monkeypatch):

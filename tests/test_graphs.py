@@ -199,6 +199,12 @@ def test_graph6_errors():
     with pytest.raises(MalformedGraph6) as exc:
         parse_graph6("Déc")          # non-ASCII, not the graph D?c
     assert exc.value.offset == 1
+    # offsets count from the start of the line, header and blanks included
+    for line, offset in ((">>graph6<<B(", 11), ("  B(", 3), ("  é\n", 2)):
+        with pytest.raises(MalformedGraph6) as exc:
+            parse_graph6(line)
+        assert exc.value.offset == offset
+        assert str(exc.value).endswith(f"(byte offset {offset})")
 
 
 def test_graph_immutable_and_hashable():
