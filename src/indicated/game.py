@@ -20,18 +20,17 @@ selector wins by presenting them in reverse peel order: a colored neighbor
 removes at most one color, so no vertex is ever blocked.
 
 Its dual is the no-completion proof: the selector wins only by completing
-a proper k-coloring, so a position whose classes extend to none is lost.
-At the root this decides every k < chi.  When the root has a k-coloring but
-no (k-1)-coloring (k = chi, where chi_i > chi can happen) the proof also
-runs at every searched position.  After a few positions fail it, the solver
-lists every proper k-coloring of the graph once, unless there are more than
-_COLORINGS_LIMIT, and answers the rest from that table.  From then on each
-position carries its consistent set, the listed colorings that put each of
-its classes inside a class of its own, and cuts it by the rows of the
-vertex a move colors for each reply before it searches any.  A reply
-whose set is empty has no completion, so it alone refutes the move.  A
-solver without a table runs the proof after the peel.  Each k proves this
-on its own: the table belongs to one solver.
+a proper k-coloring, so a position whose classes extend to none is lost, at
+every k.  At the root this decides every k < chi.  When the root has a
+k-coloring the proof also runs at every searched position.  After a few
+positions fail it, the solver lists every proper k-coloring of the graph
+once, unless there are more than _COLORINGS_LIMIT, and answers the rest from
+that table.  From then on each position carries its consistent set, the
+listed colorings that put each of its classes inside a class of its own,
+and cuts it by the rows of the vertex a move colors for each reply before
+it searches any.  A reply whose set is empty has no completion, so the
+move is refuted without a child.  Each k proves this on its own: the table
+belongs to one solver.
 """
 
 from dataclasses import dataclass, field
@@ -50,7 +49,7 @@ from .errors import (
 from .graphs import bits, complement, twin_classes
 
 DEFAULT_SOLVE_LIMIT = 14
-_COLORINGS_LIMIT = 1024  # most colorings a tight solver tabulates
+_COLORINGS_LIMIT = 1024  # most colorings a solver tabulates
 _TABULATE_AFTER = 8      # failed completion searches before it tabulates
 _GRAPHS_CACHED = 64      # graphs whose tables _solver_tables keeps
 
@@ -353,30 +352,27 @@ class GameSolver:
     A root that does not peel is stored as lost in one node when ``_extend``
     finds no proper k-coloring (the exhausted search is the witness).  A
     completion of any position would complete the root, so ``lost`` is set
-    and every later ``value`` is False without a search.  Otherwise the root
-    sets ``tight`` when ``_extend`` finds no (k-1)-coloring, that is when
-    k = chi.  Then every later position that does not peel is stored as
-    lost, without a child, when ``_extend`` finds no completion of it.  The
-    last completion found is kept in ``witness``: a position whose classes
-    lie inside distinct witness classes completes without the search.  The
-    root's search alone sets ``tight``, so a solver that never searches the
-    root (as ``OptimalBen``'s) searches as without it.
+    and every later ``value`` is False without a search.  Otherwise the
+    root keeps its coloring in ``witness``, and every later position that
+    does not peel is stored as lost, without a child, when ``_extend`` finds
+    no completion of it.  A position whose classes lie inside distinct
+    classes of the witness, the last completion found, completes without
+    the search.  A solver that never searches the root (as ``OptimalBen``'s)
+    has no witness and searches without this gate.
 
-    On the ``_TABULATE_AFTER``-th failed completion search, a tight solver
-    lists every proper k-coloring of the graph with ``_extend`` and keeps
-    them in ``colorings``.  From then on a position completes iff its
-    consistent set, the listed colorings that put each of its classes
-    inside a class of its own, is not empty: the same answer the search
-    gives.  A position gets that set from its parent (``_search``'s ``ok``),
-    cut by the table rows of the vertex the move colors, and runs the gate
-    before it builds its move list.  A declared search change: the parent
-    cuts the sets of every reply of a move first, and a reply whose set is
-    empty refutes the move alone (probed in the memo, else stored as lost
-    in one node), so no reply before it is searched.  Values do not change;
-    the nodes of a tabled solve drop, by half on the deep solves.
-    A graph with more than ``_COLORINGS_LIMIT`` proper k-colorings gets no
-    table and keeps the search after the peel, as does every solver before
-    its table.  The table is this solver's own: no other k reads it.
+    On the ``_TABULATE_AFTER``-th failed completion search the solver lists
+    every proper k-coloring of the graph with ``_extend`` and keeps them in
+    ``colorings``.  From then on a position completes iff its consistent
+    set, the listed colorings that put each of its classes inside a class
+    of its own, is not empty: the same answer the search gives.  A position
+    gets that set from its parent (``_search``'s ``ok``), cut by the table
+    rows of the vertex the move colors, and runs the gate before it builds
+    its move list.  The parent cuts the sets of every reply of a move
+    first, and a move with a reply whose set is empty is refuted without a
+    child, before any reply is searched.  A graph with more than
+    ``_COLORINGS_LIMIT`` proper k-colorings gets no table and keeps the
+    search after the peel, as does every solver before its table.  The
+    table is this solver's own: no other k reads it.
 
     The full mask, the degree table and the twin profile cache do not
     depend on k; they are built once per graph, in a bounded cache.
@@ -392,7 +388,6 @@ class GameSolver:
         self.nodes = 0
         self.memo_hits = 0
         self.lost = False
-        self.tight = False
         self.witness = None
         self.colorings = None
         self._tabulate = _TABULATE_AFTER
@@ -418,7 +413,7 @@ class GameSolver:
     def _search(self, classes, key, ok=None):
         """Value of a position whose key is not in the memo; stores it
         unless every vertex is colored.  ok is its consistent set in the
-        coloring table (computed here when None), 0 when it is lost."""
+        coloring table, computed here when None."""
         colored = 0
         for c in classes:
             colored |= c
@@ -479,8 +474,7 @@ class GameSolver:
                 self.lost = True
                 memo[key] = False
                 return False
-            self.tight = _extend(adj, self.k - 1, (), self._full) is None
-        elif (self.tight and table is None and not _inside(classes, self.witness)
+        elif (self.witness is not None and table is None and not _inside(classes, self.witness)
               and not self._completes(classes, self._full & ~colored)):
             memo[key] = False
             return False
@@ -496,7 +490,7 @@ class GameSolver:
                     ok = table.extends(classes)
                 sets = table.children(ok, classes, bit.bit_length() - 1, replies)
                 if 0 in sets:  # a reply with no completion refutes the move
-                    replies, sets = [replies[sets.index(0)]], (0,)
+                    continue
             for i, sub in zip(replies, sets):
                 if i < 0:
                     child = tuple(sorted(classes + (bit,)))

@@ -6,14 +6,12 @@ the package deterministic: all iteration is in ascending id order.
 """
 
 from dataclasses import dataclass
-from enum import Enum
+from itertools import accumulate
 
 from .errors import BadParam, BadVertexSet, MalformedGraph6, UnknownName
 
 __all__ = [
     "Graph",
-    "ExpansionSpec",
-    "PartKind",
     "DegeneracyResult",
     "make_named",
     "expand",
@@ -226,58 +224,34 @@ def make_named(name, param=None):
 # expansions
 # ---------------------------------------------------------------------------
 
-class PartKind(Enum):
-    COMPLETE = "complete"
-    INDEPENDENT = "independent"
-
-
-@dataclass(frozen=True)
-class ExpansionSpec:
-    """Blueprint for replacing each base vertex i by a clique or an
-    independent set of size sizes[i], joining parts across base edges."""
-
-    base: Graph
-    sizes: tuple
-    kinds: tuple
-
-    def __post_init__(self):
-        if len(self.sizes) != self.base.n or len(self.kinds) != self.base.n:
-            raise BadParam("parts length must equal base.n")
-        if any(s < 1 for s in self.sizes):
-            raise BadParam("all part sizes must be >= 1")
-
-    def part_vertices(self):
-        """Vertex ids of each part in the expanded graph (parts are laid
-        out consecutively in base-vertex order)."""
-        out = []
-        start = 0
-        for s in self.sizes:
-            out.append(tuple(range(start, start + s)))
-            start += s
-        return out
-
-
-def expand(spec):
-    """Materialize an expansion: parts internally complete or independent,
-    fully joined across base edges, nothing else."""
-    parts = spec.part_vertices()
-    n = sum(spec.sizes)
+def expand(base, sizes, kinds):
+    """Materialize an expansion: base vertex i becomes a part of sizes[i]
+    vertices, laid out consecutively in base-vertex order, internally
+    "complete" or "independent" as kinds[i] says, and parts are fully
+    joined across base edges, nothing else."""
+    if len(sizes) != base.n or len(kinds) != base.n:
+        raise BadParam("parts length must equal base.n")
+    if any(s < 1 for s in sizes):
+        raise BadParam("all part sizes must be >= 1")
+    if not set(kinds) <= {"complete", "independent"}:
+        raise BadParam("part kinds must be 'complete' or 'independent'")
+    ends = list(accumulate(sizes))
+    parts = [range(end - s, end) for s, end in zip(sizes, ends)]
     edges = []
-    for i, kind in enumerate(spec.kinds):
-        if kind is PartKind.COMPLETE:
-            p = parts[i]
-            edges.extend((p[a], p[b]) for a in range(len(p)) for b in range(a + 1, len(p)))
-    for i, j in spec.base.edges():
+    for p, kind in zip(parts, kinds):
+        if kind == "complete":
+            edges.extend((u, v) for u in p for v in p if u < v)
+    for i, j in base.edges():
         edges.extend((u, v) for u in parts[i] for v in parts[j])
-    return Graph(n, edges)
+    return Graph(sum(sizes), edges)
 
 
 def complete_expansion(base, sizes):
-    return expand(ExpansionSpec(base, tuple(sizes), (PartKind.COMPLETE,) * base.n))
+    return expand(base, sizes, ("complete",) * base.n)
 
 
 def independent_expansion(base, sizes):
-    return expand(ExpansionSpec(base, tuple(sizes), (PartKind.INDEPENDENT,) * base.n))
+    return expand(base, sizes, ("independent",) * base.n)
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +416,9 @@ def parse_graph6(line):
                     edges.append((i, j))
                 idx += 1
         return Graph(n, edges)
-    except MalformedGraph6 as exc:  # count the offset from the start of line
-        raise MalformedGraph6(exc.message, exc.offset + len(line.rstrip()) - len(text)) from None
+    except MalformedGraph6 as exc:  # count the offset in UTF-8 bytes from the start of line
+        lead = line.rstrip()[:len(line.rstrip()) - len(text)]
+        raise MalformedGraph6(exc.message, exc.offset + len(lead.encode())) from None
 
 
 def write_graph6(g):

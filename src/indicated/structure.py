@@ -165,24 +165,6 @@ def _check_modules(g, modules, kinds):
             raise StructureViolation(f"module {i} is empty or not {kind}")
 
 
-def _cycle_order(base):
-    """Vertices of a cycle graph in traversal order, or None."""
-    n = base.n
-    if n < 3 or any(base.degree(v) != 2 for v in range(n)):
-        return None
-    order = [0]
-    prev = None
-    cur = 0
-    for _ in range(n - 1):
-        nbrs = [u for u in bits(base.adj[cur]) if u != prev]
-        nxt = min(nbrs)
-        order.append(nxt)
-        prev, cur = cur, nxt
-    if len(set(order)) != n or not base.has_edge(order[-1], order[0]):
-        return None
-    return order
-
-
 def _kind_label(g, module, allowed):
     for kind in allowed:
         if _KIND_TESTS[kind](g, module):
@@ -203,7 +185,8 @@ def recognize_expansion(g, base, allowed=("complete", "independent")):
     order is canonicalized by least contained id and the structure validated
     before it is returned.
     """
-    if _cycle_order(base) is None or base.n > 8:
+    if not (3 <= base.n <= 8 and is_connected(base)
+            and all(base.degree(v) == 2 for v in range(base.n))):
         raise BadParam("base must be a cycle on 3..8 vertices")
     n = base.n
     if n <= 4 and tuple(allowed) not in (("complete",), ("independent",)):

@@ -414,6 +414,12 @@ def test_jobs_parallel_matches_serial(tmp_path):
     code1, out1 = run_cli(["verify-class", str(corpus), "kc5"])
     code2, out2 = run_cli(["verify-class", str(corpus), "kc5", "--jobs", "2"])
     assert (code1, out1) == (code2, out2)
+    # all 996 connected_le7 lines, which --jobs 2 hands out in chunks of 125
+    from conftest import DATA
+
+    corpus = str(DATA / "connected_le7.g6")
+    serial = run_cli(["check", corpus, "sandwich", "--jobs", "1"])
+    assert serial[0] == 0 and serial == run_cli(["check", corpus, "sandwich", "--jobs", "2"])
 
 
 def test_exit_code_on_violation(tmp_path):

@@ -38,9 +38,7 @@ from indicated.game import (
     twin_classes,
 )
 from indicated.graphs import (
-    ExpansionSpec,
     Graph,
-    PartKind,
     bits,
     complete_expansion,
     degeneracy,
@@ -446,9 +444,9 @@ def test_twin_classes_match_union_find(rng, all_le6, connected_le7):
                for _ in range(2000)]
     for _ in range(300):
         base = random_graph(rng, rng.randint(1, 7), p=rng.choice((0.3, 0.5, 0.7)))
-        spec = ExpansionSpec(base, tuple(rng.randint(1, 3) for _ in range(base.n)),
-                             tuple(rng.choice(list(PartKind)) for _ in range(base.n)))
-        graphs.append(relabelled(rng, expand(spec)))
+        graphs.append(relabelled(rng, expand(
+            base, [rng.randint(1, 3) for _ in range(base.n)],
+            [rng.choice(("complete", "independent")) for _ in range(base.n)])))
     with_twins = 0
     for g in graphs:
         classes = twin_classes(g)
@@ -483,10 +481,10 @@ def test_twin_key_keeps_kc5_table():
     """KC5:3,3,2,2,2 has chi = col = 6, so every k of 1..8 is decided at
     the root in one node with either key.  KC5:2,2,2,2,2 has chi 5 and col
     6, so k = 5 is searched, with the no-completion proof at every
-    position: there the twin key gives the class-multiset key's table in 65
-    nodes over k = 1..7 (312 with the class-multiset key)."""
+    position: there the twin key gives the class-multiset key's table in 56
+    nodes over k = 1..7 (230 with the class-multiset key)."""
     for mods, kmax, counts in (((3, 3, 2, 2, 2), 8, (8, 8)),
-                               ((2, 2, 2, 2, 2), 7, (65, 312))):
+                               ((2, 2, 2, 2, 2), 7, (56, 230))):
         g = complete_expansion(make_named("C", 5), mods)
         table = {}
         nodes = ref_nodes = 0
@@ -890,15 +888,15 @@ def _classes(state):
     return tuple(sorted(m for m in state.color_class_masks() if m))
 
 
-def _tight_solvers(graphs):
-    """(g, k, solver) for every graph with chi < col, at k = chi, after the
-    root search has set the no-completion gate."""
+def _gated_solvers(graphs):
+    """(g, k, solver) for every graph and every k with chi <= k < col, after
+    the root search has found the witness that sets the no-completion
+    gate."""
     for g in graphs:
-        k = chi_exact(g)
-        if k < degeneracy(g).col:
+        for k in range(chi_exact(g), degeneracy(g).col):
             solver = GameSolver(g, k)
             solver.value(())
-            assert solver.tight, g.edges()
+            assert solver.witness is not None, (g.edges(), k)
             yield g, k, solver
 
 
@@ -932,9 +930,9 @@ def test_child_consistent_set_matches_a_fresh_one(rng, all_le6):
     assert derived >= 20000 and empty >= 5000
 
 
-def test_gate_is_set_only_at_chi(rng):
-    """The root sets the gate iff it has a k-coloring but no
-    (k-1)-coloring and does not peel, so at k = chi < col only."""
+def test_gate_is_set_at_every_searched_root(rng):
+    """The root sets the gate, its witness, iff it is searched and has a
+    k-coloring: it does not peel and k >= chi, so at chi <= k < col."""
     gated = 0
     for _ in range(80):
         g = random_graph(rng, rng.randint(2, 9), p=rng.choice((0.3, 0.5, 0.7)))
@@ -943,16 +941,16 @@ def test_gate_is_set_only_at_chi(rng):
         for k in range(1, col + 2):
             solver = GameSolver(g, k)
             solver.value(())
-            assert solver.tight == (k == chi < col), (g.edges(), k)
-            gated += solver.tight
+            assert (solver.witness is not None) == (chi <= k < col), (g.edges(), k)
+            gated += solver.witness is not None
     assert gated >= 12
 
 
 def test_no_completion_proof_matches_reference_inside(rng, all_le6, connected_le7):
-    """With the gate set, random positions get the canonicalization-free
-    reference's value."""
+    """With the gate set, at every k with chi <= k < col (278 solvers),
+    random positions get the canonicalization-free reference's value."""
     positions = lost = 0
-    for g, k, solver in _tight_solvers(list(all_le6) + list(connected_le7)):
+    for g, k, solver in _gated_solvers(list(all_le6) + list(connected_le7)):
         for _ in range(6):
             state = _random_partial_coloring(rng, g, k)
             win = solver.value(_classes(state))
@@ -960,7 +958,7 @@ def test_no_completion_proof_matches_reference_inside(rng, all_le6, connected_le
                 (g.edges(), k, state.colors)
             positions += 1
             lost += not win
-    assert positions >= 1400 and lost >= 400
+    assert positions == 1668 and lost >= 400
 
 
 def test_no_completion_position_is_lost_in_one_node(rng, all_le6, connected_le7):
@@ -968,7 +966,7 @@ def test_no_completion_position_is_lost_in_one_node(rng, all_le6, connected_le7)
     k-completion (by brute force) is stored as lost in one node, also when
     no vertex is blocked yet."""
     fresh = unblocked = 0
-    for g, k, solver in _tight_solvers(list(all_le6) + list(connected_le7)):
+    for g, k, solver in _gated_solvers(list(all_le6) + list(connected_le7)):
         for _ in range(16):
             state = _random_partial_coloring(rng, g, k)
             classes = _classes(state)
@@ -1032,9 +1030,9 @@ def _pinned_counts(connected_le7, counts):
     return (tuple(total), *(counts(g, kmax) for g, kmax in _twin_heavy_tables()))
 
 
-PINNED_COUNTS = ((7035, 7035), (195, 195), (8, 8))
+PINNED_COUNTS = ((7022, 7022), (195, 195), (8, 8))
 # with a table from the first failed completion search, and with none
-TABLED_COUNTS = ((6992, 6992), (195, 195), (8, 8))
+TABLED_COUNTS = ((6937, 6937), (195, 195), (8, 8))
 UNTABLED_COUNTS = ((7040, 7040), (195, 195), (8, 8))
 
 
@@ -1062,7 +1060,7 @@ def test_coloring_table_keeps_the_pinned_counts(connected_le7, monkeypatch, limi
     """Answering the gated completion queries from the coloring table, or
     from the search when the table is over the cap, searches the pinned
     nodes and memo entries: tabulating on the first failed search (22
-    connected_le7 solves build a table, and the moves it refutes take 48
+    connected_le7 solves build a table, and the moves it refutes take 103
     nodes off), or never (a cap of 0)."""
     built = []
     tabulate = GameSolver._completes
@@ -1084,34 +1082,67 @@ def test_coloring_table_keeps_the_pinned_counts(connected_le7, monkeypatch, limi
 def test_tabled_solves_match_the_reference(rng, monkeypatch, all_le6, connected_le7):
     """With a table from the first failed completion search, so that moves
     are refuted from it, the root of every all_le6 and connected_le7 graph
-    at k = chi gets the canonicalization-free reference's value, and so do
-    random positions of each solver that built a table.  Where the graph
-    is twin-free, so that a memo key is the position's classes, every memo
-    entry holds the reference's value too."""
+    at k = chi and at every gated k, chi < k < col, gets the
+    canonicalization-free reference's value, and so do random positions of
+    each solver that built a table.  Where the graph is twin-free, so that
+    a memo key is the position's classes, every memo entry holds the
+    reference's value too."""
     monkeypatch.setattr(game, "_TABULATE_AFTER", 1)
     roots = tabled = positions = entries = 0
     for g in list(all_le6) + list(connected_le7):
-        k = chi_exact(g)
-        solver = GameSolver(g, k)
-        assert solver.value(()) == ann_wins_reference(g, k), g.edges()
-        roots += 1
-        if solver.colorings is None:
-            continue
-        tabled += 1
-        for _ in range(6):
-            state = _random_partial_coloring(rng, g, k)
-            assert solver.value(_classes(state)) == \
-                ann_wins_reference(g, k, colors=state.colors), (g.edges(), k, state.colors)
-            positions += 1
-        if solver._twins is None:
-            for classes, win in solver.memo.items():
-                colors = [0] * g.n
-                for c, mask in enumerate(classes, 1):
-                    for v in bits(mask):
-                        colors[v] = c
-                assert win == ann_wins_reference(g, k, colors=colors), (g.edges(), k, colors)
-                entries += 1
-    assert roots == 1204 and tabled == 23 and positions == 138 and entries >= 150
+        chi = chi_exact(g)
+        for k in range(chi, max(degeneracy(g).col, chi + 1)):
+            solver = GameSolver(g, k)
+            assert solver.value(()) == ann_wins_reference(g, k), (g.edges(), k)
+            roots += 1
+            if solver.colorings is None:
+                continue
+            tabled += 1
+            for _ in range(6):
+                state = _random_partial_coloring(rng, g, k)
+                assert solver.value(_classes(state)) == \
+                    ann_wins_reference(g, k, colors=state.colors), (g.edges(), k, state.colors)
+                positions += 1
+            if solver._twins is None:
+                for classes, win in solver.memo.items():
+                    colors = [0] * g.n
+                    for c, mask in enumerate(classes, 1):
+                        for v in bits(mask):
+                            colors[v] = c
+                    assert win == ann_wins_reference(g, k, colors=colors), (g.edges(), k, colors)
+                    entries += 1
+    assert roots == 1220 and tabled == 23 and positions == 138 and entries == 130
+
+
+def test_tabled_solves_above_chi_match_an_ungated_solve(rng, monkeypatch):
+    """At chi < k < col no corpus solver builds a table, so seeded random
+    graphs on 10 to 12 vertices check it there, tabulating on the first
+    failed completion search: the root, and random colored positions of
+    each solver that built a table, get the value of an ungated solve.
+    That is a fresh solver that never searches the root (the root's value
+    is its move's), so it finds no witness and runs neither the gate nor
+    the table."""
+    monkeypatch.setattr(game, "_TABULATE_AFTER", 1)
+    roots = tabled = positions = lost = 0
+    for _ in range(2000):
+        g = random_graph(rng, rng.randint(10, 12), p=rng.choice((0.3, 0.5, 0.7)))
+        for k in range(chi_exact(g) + 1, degeneracy(g).col):
+            solver = GameSolver(g, k)
+            ungated = GameSolver(g, k)
+            assert solver.value(()) == ungated.move([0] * k)[2], (g.edges(), k)
+            roots += 1
+            if solver.colorings is None:
+                continue
+            tabled += 1
+            for _ in range(6):
+                classes = _classes(_random_partial_coloring(rng, g, k))
+                if classes:
+                    win = solver.value(classes)
+                    assert win == ungated.value(classes), (g.edges(), k, classes)
+                    positions += 1
+                    lost += not win
+            assert ungated.witness is None and ungated.colorings is None
+    assert (roots, tabled, positions, lost) == (195, 13, 67, 12)
 
 
 def _gated_solve(g, k):
@@ -1154,39 +1185,39 @@ def test_heavy_gated_tables_are_pinned(monkeypatch):
     """Two deep-solve graphs at k = chi whose solves fail many completion
     searches, random13-04 (the costliest table) and random12-01: each
     builds its coloring table and keeps its counts.  Once it has the table,
-    a move with a reply that has no consistent coloring is refuted by that
-    reply alone, in one node, before any other reply is searched, so each
-    node is one _search call.  Neither searches a completed coloring."""
+    a move with a reply that has no consistent coloring is refuted without
+    a child, before any reply is searched, so each node is one _search
+    call.  Neither searches a completed coloring."""
     searches = _counted(monkeypatch, "_search")
     completed = _completed_searches(monkeypatch)
     solver, win = _gated_solve(parse_graph6(RANDOM13_04), 6)
-    assert (win, solver.nodes, len(solver.memo), solver.memo_hits) == (False, 2187, 2187, 2114)
-    assert solver.tight and solver.colorings is not None and searches == [2187]
+    assert (win, solver.nodes, len(solver.memo), solver.memo_hits) == (False, 478, 478, 1102)
+    assert solver.witness is not None and solver.colorings is not None and searches == [478]
     searches[0] = 0
     solver, win = _gated_solve(parse_graph6("Kz\\qiufmVnx\\"), 5)
-    assert (win, solver.nodes, len(solver.memo)) == (True, 209, 209)
-    assert solver.tight and solver.colorings is not None and searches == [209]
+    assert (win, solver.nodes, len(solver.memo)) == (True, 59, 59)
+    assert solver.witness is not None and solver.colorings is not None and searches == [59]
     assert completed == [0]
 
 
-def test_node_budget_counts_children_decided_in_the_parent():
-    """random13-04 at k = 6 searches 2,187 nodes, many of them replies
-    that their parent took from the table to refute a move, and the budget
-    counts each of them."""
+def test_node_budget_bounds_a_tabled_solve():
+    """random13-04 at k = 6 searches 478 nodes; the moves its table refutes
+    add none, and the budget bounds the nodes exactly."""
     g = parse_graph6(RANDOM13_04)
     with pytest.raises(ResourceBudgetExceeded):
-        GameSolver(g, 6, node_budget=2186).value(())
-    solver = GameSolver(g, 6, node_budget=2187)
-    assert not solver.value(()) and solver.nodes == 2187
+        GameSolver(g, 6, node_budget=477).value(())
+    solver = GameSolver(g, 6, node_budget=478)
+    assert not solver.value(()) and solver.nodes == 478
 
 
 def test_untabled_tight_solve_keeps_the_gate_after_the_peel(monkeypatch):
-    """A tight solver that never fails enough completion searches to build
+    """A gated solver that never fails enough completion searches to build
     the table gates only the positions the peel leaves open: random12-12
     at k = 5 searches 35 nodes with 9 completion searches."""
     completes = _counted(monkeypatch, "_completes")
     solver, win = _gated_solve(parse_graph6("KntT}WnBwjjt"), 5)
-    assert (win, solver.nodes, solver.tight, solver.colorings) == (True, 35, True, None)
+    assert (win, solver.nodes, solver.witness is not None, solver.colorings) == \
+        (True, 35, True, None)
     assert completes == [9]
 
 
@@ -1198,11 +1229,13 @@ def test_coloring_table_over_the_cap_keeps_the_search(monkeypatch):
     ffx = parse_graph6("Ffx|w")
     fpt = parse_graph6("FPT}o")
     solver, win = _gated_solve(Graph(14, fpt.edges()), 3)
-    assert (win, solver.nodes, solver.tight, solver.colorings) == (True, 304, True, None)
+    assert (win, solver.nodes, solver.witness is not None, solver.colorings) == \
+        (True, 304, True, None)
     assert solver._tabulate < 0
     monkeypatch.setattr(game, "_TABULATE_AFTER", 1)
     solver, win = _gated_solve(Graph(14, ffx.edges()), 4)
-    assert (win, solver.nodes, solver.tight, solver.colorings) == (True, 12, True, None)
+    assert (win, solver.nodes, solver.witness is not None, solver.colorings) == \
+        (True, 12, True, None)
     assert solver._tabulate < 0
 
 

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from indicated.errors import BadParam, BadVertexSet, MalformedGraph6, UnknownName
 from indicated.graphs import (
     DegeneracyResult,
-    ExpansionSpec,
     Graph,
-    PartKind,
     bits,
     complement,
     complete_expansion,
@@ -88,11 +86,10 @@ def test_expand_edge_count_formula_exhaustive():
     for base_n in range(4, 8):
         base = make_named("C", base_n)
         for sizes in itertools.product((1, 2, 3), repeat=base_n):
-            for kind in (PartKind.COMPLETE, PartKind.INDEPENDENT):
-                spec = ExpansionSpec(base, sizes, (kind,) * base_n)
-                g = expand(spec)
+            for kind in ("complete", "independent"):
+                g = expand(base, sizes, (kind,) * base_n)
                 internal = sum(m * (m - 1) // 2 for m in sizes) \
-                    if kind is PartKind.COMPLETE else 0
+                    if kind == "complete" else 0
                 cross = sum(sizes[i] * sizes[j] for i, j in base.edges())
                 assert g.num_edges == internal + cross
                 assert g.n == sum(sizes)
@@ -101,17 +98,25 @@ def test_expand_edge_count_formula_exhaustive():
 def test_expansion_spec_validation():
     base = make_named("C", 5)
     with pytest.raises(BadParam):
-        ExpansionSpec(base, (1, 1, 1, 1), (PartKind.COMPLETE,) * 4)
+        expand(base, (1, 1, 1, 1), ("complete",) * 4)
     with pytest.raises(BadParam):
-        ExpansionSpec(base, (1, 1, 0, 1, 1), (PartKind.COMPLETE,) * 5)
+        expand(base, (1, 1, 1, 1, 1), ("complete",) * 4)
+    with pytest.raises(BadParam):
+        expand(base, (1, 1, 0, 1, 1), ("complete",) * 5)
+    with pytest.raises(BadParam):
+        expand(base, (1, 1, 1, 1, 1), ("complete",) * 4 + ("split",))
 
 
 def test_part_vertices_layout():
-    spec = ExpansionSpec(make_named("C", 5), (2, 1, 3, 1, 1),
-                         (PartKind.COMPLETE,) * 5)
-    parts = spec.part_vertices()
-    assert parts[0] == (0, 1) and parts[2] == (3, 4, 5)
-    assert sorted(v for p in parts for v in p) == list(range(8))
+    """Parts are laid out consecutively in base-vertex order: on C5 with
+    sizes 2, 1, 3, 1, 1, part 0 is {0, 1} and part 2 is {3, 4, 5}."""
+    g = expand(make_named("C", 5), (2, 1, 3, 1, 1), ("complete",) * 5)
+    parts = [(0, 1), (2,), (3, 4, 5), (6,), (7,)]
+    assert g.n == 8
+    for i, p in enumerate(parts):
+        for j, q in enumerate(parts):
+            linked = i == j or (i - j) % 5 in (1, 4)
+            assert all(g.has_edge(u, v) == linked for u in p for v in q if u != v), (i, j)
 
 
 def test_join_union_complement_induced():
@@ -199,8 +204,10 @@ def test_graph6_errors():
     with pytest.raises(MalformedGraph6) as exc:
         parse_graph6("Déc")          # non-ASCII, not the graph D?c
     assert exc.value.offset == 1
-    # offsets count from the start of the line, header and blanks included
-    for line, offset in ((">>graph6<<B(", 11), ("  B(", 3), ("  é\n", 2)):
+    # offsets count UTF-8 bytes from the start of the line, header and
+    # blanks included (U+3000 is a 3-byte blank)
+    for line, offset in ((">>graph6<<B(", 11), ("  B(", 3), ("  é\n", 2),
+                         ("\u3000\u3000B(", 7), ("\u3000Déc", 4)):
         with pytest.raises(MalformedGraph6) as exc:
             parse_graph6(line)
         assert exc.value.offset == offset
@@ -244,11 +251,10 @@ def test_expand_edge_count_mixed_kinds(rng):
         base_n = rng.randint(4, 7)
         base = make_named("C", base_n)
         sizes = tuple(rng.randint(1, 3) for _ in range(base_n))
-        kinds = tuple(rng.choice((PartKind.COMPLETE, PartKind.INDEPENDENT))
-                      for _ in range(base_n))
-        g = expand(ExpansionSpec(base, sizes, kinds))
+        kinds = tuple(rng.choice(("complete", "independent")) for _ in range(base_n))
+        g = expand(base, sizes, kinds)
         internal = sum(m * (m - 1) // 2
-                       for m, k in zip(sizes, kinds) if k is PartKind.COMPLETE)
+                       for m, k in zip(sizes, kinds) if k == "complete")
         cross = sum(sizes[i] * sizes[j] for i, j in base.edges())
         assert g.num_edges == internal + cross
 

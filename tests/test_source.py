@@ -5,6 +5,8 @@ no parameter is private, so code that a change leaves behind shows up as a
 failure."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "indicated"
@@ -142,6 +144,17 @@ def test_functions_read_every_parameter():
 
 def test_functions_take_no_private_parameters():
     assert private_parameters(_package_sources()) == []
+
+
+def test_import_loads_no_cli_machinery():
+    """Importing the package, as every library caller and the benchmark's
+    set-up do, loads neither the CLI nor its argument parser and process
+    pool, so their import cost stays with the CLI."""
+    probe = ("import sys, indicated; print(' '.join(m for m in "
+             "('indicated.cli', 'argparse', 'concurrent.futures') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], cwd=SRC.parent,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []
 
 
 def test_source_checks_catch_leftovers():

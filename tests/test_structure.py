@@ -18,9 +18,7 @@ from indicated.errors import (
 )
 from indicated.game import chi_exact
 from indicated.graphs import (
-    ExpansionSpec,
     Graph,
-    PartKind,
     bits,
     complete_expansion,
     expand,
@@ -42,7 +40,6 @@ from indicated.structure import (
     Pod,
     _canonical_rotation,
     _complete_between,
-    _cycle_order,
     _empty_between,
     _is_clique,
     _kind_label,
@@ -147,9 +144,7 @@ def _seeded_canonical_rotation(modules, kinds, n):
 def _seeded_recognize_expansion(g, base, allowed=("complete", "independent")):
     """recognize_expansion as a search over every induced base-length seed
     cycle, with a backtracking assignment of the other vertices."""
-    order = _cycle_order(base)
-    if order is None or base.n > 8:
-        raise BadParam("base must be a cycle on 3..8 vertices")
+    recognize_expansion(Graph(0), base, allowed)  # its BadParam on a bad base
     n = base.n
     if g.n < n:
         return None
@@ -286,9 +281,9 @@ def test_recognize_expansion_matches_seeded_search(rng):
                                             [rng.randint(1, 3) for _ in range(n)])))
     for _ in range(60):
         n = rng.randint(5, 8)
-        spec = ExpansionSpec(make_named("C", n), tuple(rng.randint(1, 3) for _ in range(n)),
-                             tuple(rng.choice(list(PartKind)) for _ in range(n)))
-        graphs.append(relabelled(rng, expand(spec)))
+        graphs.append(relabelled(rng, expand(
+            make_named("C", n), [rng.randint(1, 3) for _ in range(n)],
+            [rng.choice(("complete", "independent")) for _ in range(n)])))
     graphs += [relabelled(rng, build_split_c5_instance(rng)) for _ in range(40)]
     graphs += [random_graph(rng, rng.randint(3, 9), p=rng.choice((0.2, 0.35, 0.5, 0.7)))
                for _ in range(120)]
@@ -352,6 +347,10 @@ def test_recognize_expansion_bad_base():
         recognize_expansion(C5, make_named("P", 4))
     with pytest.raises(BadParam):
         recognize_expansion(make_named("C", 9), make_named("C", 9))
+    with pytest.raises(BadParam):  # 2-regular but not connected
+        recognize_expansion(C5, union(make_named("C", 3), make_named("C", 3)))
+    with pytest.raises(BadParam):
+        recognize_expansion(C5, make_named("K", 2))
     # C3 and C4 are not prime: their modules are not fixed by one seed cycle
     for n in (3, 4):
         base = make_named("C", n)
